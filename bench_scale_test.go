@@ -1,14 +1,16 @@
 package mudi
 
 // The large-fleet scaling benchmark behind BENCH_scale.json: one
-// end-to-end sharded run per fleet size, reporting wall clock, live
-// heap growth, and the per-device heap footprint. The workload shape
+// end-to-end run per fleet size, reporting wall clock, live heap
+// growth, and the per-device heap footprint. The workload shape
 // keeps the simulated makespan roughly constant across sizes
 // (tasks = devices/8, arrival gap = 8s/devices, 0.001 iter scale), so
 // the series isolates how engine cost scales with device count: the
 // heap-per-device metric must fall or stay flat as the fleet grows —
 // sub-linear total memory — and the 10k point is the ISSUE's
-// examples/largecluster target.
+// examples/largecluster target. Every run gets a freshly built System:
+// the Mudi policy learns online, so a shared one would make each size's
+// workload depend on the sizes that ran before it.
 //
 // Regenerate with: make bench-scale
 
@@ -18,8 +20,8 @@ import (
 	"testing"
 )
 
-// scaleRun executes one sharded run at the given fleet size and
-// returns the result plus the live-heap delta across it.
+// scaleRun executes one run at the given fleet size and returns the
+// result plus the live-heap delta across it.
 func scaleRun(tb testing.TB, sys *System, devices int) (*Result, uint64) {
 	tb.Helper()
 	arrivals, err := PhillyArrivals(devices/8, 8.0/float64(devices), 0.001, 11)
@@ -49,13 +51,15 @@ func BenchmarkScale(b *testing.B) {
 	if testing.Short() {
 		sizes = []int{1000, 2000}
 	}
-	sys, err := NewSystem(SystemConfig{Seed: 11})
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, devices := range sizes {
 		b.Run(fmt.Sprintf("devices=%d", devices), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sys, err := NewSystem(SystemConfig{Seed: 11})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
 				res, heap := scaleRun(b, sys, devices)
 				if res.Completed != res.Admitted {
 					b.Fatalf("completed %d of %d admitted", res.Completed, res.Admitted)

@@ -24,8 +24,8 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// TestRunShardedSmoke drives the sharded engine the way the 10k-device
-// invocation does — auto lane count, single policy.
+// TestRunShardedSmoke drives the engine the way the 10k-device
+// invocation does — several lanes, single policy.
 func TestRunShardedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end simulation in -short")
@@ -39,8 +39,8 @@ func TestRunShardedSmoke(t *testing.T) {
 	}
 }
 
-// TestRunProfileSmoke: -profile on the sharded engine prints the
-// per-phase engine breakdown sourced from the self-profiling series.
+// TestRunProfileSmoke: -profile prints the per-phase engine breakdown
+// sourced from the self-profiling series.
 func TestRunProfileSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end simulation in -short")

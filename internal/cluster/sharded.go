@@ -7,24 +7,24 @@ import (
 	"mudi/internal/span"
 )
 
-// This file is the sharded run path (Options.Shards > 0): devices are
-// partitioned into contiguous lanes, each lane drains its own calendar
-// of per-device window ticks, and everything that crosses a lane
-// boundary — retunes, completions, evictions, placement, faults,
-// arrivals — happens at a barrier, either as a sequenced mailbox
-// message or as a global calendar event.
+// This file is the run path: devices are partitioned into contiguous
+// lanes, each lane drains its own calendar of per-device window ticks,
+// and everything that crosses a lane boundary — retunes, completions,
+// evictions, placement, faults, arrivals — happens at a barrier,
+// either as a sequenced mailbox message or as a global calendar event.
+// This is the paper's two-level split (§5.2–5.3): the per-device Local
+// Coordinator work runs in the lanes, the cluster-wide Online
+// Multiplexer in the global phase.
 //
-// The determinism contract is lane-count and worker-count invariance,
-// not equivalence with the legacy path. Three differences from the
-// legacy window are deliberate:
+// The determinism contract is lane-count and worker-count invariance.
+// Three rules deliver it:
 //
 //   - measurement noise draws from per-device streams (d.winRNG), not
-//     the shared cluster stream, so a device's draw sequence does not
-//     depend on which other devices happen to share its engine;
+//     a shared cluster stream, so a device's draw sequence does not
+//     depend on which other devices happen to share its lane;
 //   - control-plane reactions (qps-change / resume-probe / slo-risk
 //     retunes, pause evictions, completions) defer to the barrier and
-//     apply in (time, device, emission) order instead of firing inline
-//     mid-window;
+//     apply in (time, device, emission) order;
 //   - cluster float sums (MeanP99, shed totals, utilization) aggregate
 //     per device first and merge in global device order.
 //
@@ -34,10 +34,11 @@ import (
 // construction, in which case lanes drain inline in index order and
 // every emission lands in global device order anyway.
 
-// runSharded mirrors Run for the sharded engine.
-func (s *Sim) runSharded() (*Result, error) {
-	// Initial per-device configuration and memory placement — global
-	// phase, identical to the legacy sequence.
+// Run executes the simulation to completion (all admitted tasks done)
+// or to the safety horizon, and returns the metrics.
+func (s *Sim) Run() (*Result, error) {
+	// Initial per-device configuration and memory placement, in the
+	// global phase.
 	for _, d := range s.devices {
 		d.svc.curQPS = d.svc.qpsTrace.At(0)
 		if err := s.configure(0, d, true, "initial"); err != nil {
@@ -92,8 +93,8 @@ func (s *Sim) runSharded() (*Result, error) {
 	}
 	// The global barrier tick: cluster sums in device order, the
 	// cancellation check, and the all-done stop. Scheduled after faults
-	// and arrivals so ties at a window boundary keep the legacy
-	// fault/arrival-before-accounting order.
+	// and arrivals so ties at a window boundary run faults and arrivals
+	// before the accounting.
 	stop, err := g.EveryUntil(s.opts.WindowSec, func(now float64) { s.barrierTick(now) })
 	if err != nil {
 		return nil, err
@@ -118,9 +119,9 @@ func (s *Sim) runSharded() (*Result, error) {
 	return s.res, nil
 }
 
-// deviceWindow is one device's control window on the sharded path: the
-// lane-local part of the legacy window loop body, with every
-// cross-lane reaction posted to the mailbox instead of firing inline.
+// deviceWindow is one device's control window, run on its lane: every
+// cross-lane reaction is posted to the mailbox instead of firing
+// inline.
 func (s *Sim) deviceWindow(now float64, d *deviceState) {
 	w := s.opts.WindowSec
 	if d.down {
@@ -138,9 +139,14 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 	qps := svc.qpsTrace.At(now)
 	offered := qps
 
-	// Admission control (class-aware runs only); see the legacy window
-	// for the policy. Shed totals accumulate per device and merge at
-	// finalize in device order.
+	// Admission control (class-aware runs only): a shed-eligible
+	// service's offered load is capped at the admission threshold —
+	// AdmitFactor × nominal QPS (span.BurstFactor by default) — and the
+	// excess is dropped at the door instead of driving the window budget
+	// (and the co-located critical services' retunes) into the ground.
+	// Critical/standard load is never shed; batch defers but keeps every
+	// request. Shed totals accumulate per device and merge at finalize
+	// in device order.
 	var shedQPS float64
 	if s.classAware && svc.info.Class.SheddableLoad() {
 		admitCap := s.opts.AdmitFactor * svc.info.BaseQPS * s.opts.LoadFactor
@@ -297,8 +303,9 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 		}
 	}
 
-	// Memory reclamation: pool state is lane-owned, so this stays
-	// inline exactly as on the legacy path.
+	// Memory reclamation: touch swapped training back in when the
+	// device has headroom (Fig. 16's reclaim at QPS drop). Pool state is
+	// lane-owned, so this stays inline.
 	if d.pool.CapacityMB()-d.pool.DeviceUsedMB() > 1024 {
 		for _, t := range d.training {
 			if t.done {
@@ -311,7 +318,10 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 		}
 	}
 
-	// Utilization: publish per device; the barrier sums in device order.
+	// Utilization (Fig. 10): the service keeps its partition busy for
+	// the fraction of time batches are in flight; active training burns
+	// its share fully. Published per device; the barrier sums in device
+	// order.
 	busy := (qps / float64(svc.batch)) * (latOrZero(s.opts.Oracle, svc, coloc) / 1000)
 	if busy > 1 {
 		busy = 1

@@ -38,10 +38,9 @@ func shardRun(t testing.TB, seed uint64, devices, tasks int, mutate func(*Option
 	return res
 }
 
-// TestShardCountInvariance is the tentpole's golden: the sharded
-// engine's Result.Summary() is byte-identical at every lane count,
-// including the auto default (-1) and a lane count above the device
-// count (clamped). Mirrors PR 1's parallel-vs-sequential suite.
+// TestShardCountInvariance is the engine's golden: Result.Summary() is
+// byte-identical at every lane count, including the auto default (-1)
+// and a lane count above the device count (clamped). Mirrors PR 1's parallel-vs-sequential suite.
 func TestShardCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six full simulations in -short")
@@ -109,8 +108,7 @@ func TestShardClassesInvariance(t *testing.T) {
 
 // TestShardObservationPassive: observation, tracing, and attribution
 // force the sequential lane drain — but must not change the summary
-// relative to the parallel drain with every sink off (the same
-// passivity contract the legacy engine keeps).
+// relative to the parallel drain with every sink off.
 func TestShardObservationPassive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full simulations in -short")
@@ -123,14 +121,14 @@ func TestShardObservationPassive(t *testing.T) {
 		o.Attr = span.NewAttributor(0)
 	})
 	if got := res.Summary(); got != want {
-		t.Errorf("observed sharded run summary differs from unobserved:\n--- off\n%s\n--- on\n%s", want, got)
+		t.Errorf("observed run summary differs from unobserved:\n--- off\n%s\n--- on\n%s", want, got)
 	}
 	if len(res.Events) == 0 || len(res.Spans) == 0 || res.SLOReport == nil {
-		t.Fatal("observed sharded run produced no events/spans/report")
+		t.Fatal("observed run produced no events/spans/report")
 	}
 }
 
-// TestShardRecordReplay: a sharded run's recorded workload replays to
+// TestShardRecordReplay: a run's recorded workload replays to
 // a byte-identical summary — and the replay is itself lane-count
 // invariant.
 func TestShardRecordReplay(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mudi/internal/core"
-	"mudi/internal/eventq"
 	"mudi/internal/faults"
 	"mudi/internal/gpu"
 	"mudi/internal/memmgr"
@@ -45,16 +44,11 @@ type Options struct {
 
 	QueuePolicy sched.Policy // default FCFS (§6)
 
-	// Shards selects the event engine. 0 (the default) is the legacy
-	// single-calendar engine — bit-for-bit the pre-shard behavior. A
-	// positive count partitions devices into that many contiguous lanes
-	// (clamped to the device count), each draining its own calendar
-	// between control-plane barriers; a negative count picks the
-	// default, min(GOMAXPROCS, devices/64). Any lane count N >= 1
-	// produces a byte-identical Result.Summary() — the sharded engine
-	// is its own determinism universe, distinct from the legacy one,
-	// because window measurements draw per-device noise streams and
-	// cross-lane effects land at barriers instead of mid-window.
+	// Shards is the event engine's lane count. Devices are partitioned
+	// into that many contiguous lanes (clamped to the device count), each
+	// draining its own calendar between control-plane barriers; 0 or a
+	// negative count picks the default, min(GOMAXPROCS, devices/64). Any
+	// lane count produces a byte-identical Result.Summary().
 	Shards int
 	// AdmitFactor scales the admission-control cap for shed-eligible
 	// classes: offered load above AdmitFactor × BaseQPS × LoadFactor is
@@ -119,13 +113,12 @@ type Options struct {
 	Record *trace.Recorder
 	// Timeline, when non-nil, receives multi-resolution time-series —
 	// per-service QPS/admitted/shed/P99/violation, per-class roll-ups,
-	// fleet utilization and pressure, and (sharded runs) engine
-	// self-profiling — one sample per control window. Recording is
-	// passive like Obs/Trace but, unlike them, does not force the
-	// sharded engine to one worker: lane handlers only write per-device
-	// scratch, and all series appends happen in the barrier phase in
-	// global device order. The end-of-run snapshot lands in
-	// Result.Timelines.
+	// fleet utilization and pressure, and engine self-profiling — one
+	// sample per control window. Recording is passive like Obs/Trace
+	// but, unlike them, does not force the engine to one worker: lane
+	// handlers only write per-device scratch, and all series appends
+	// happen in the barrier phase in global device order. The
+	// end-of-run snapshot lands in Result.Timelines.
 	Timeline *timeline.Store
 	// Ctx, when non-nil, cancels the simulation between control
 	// windows; Run then returns ctx.Err(). Nil means run to
@@ -164,7 +157,7 @@ func (o Options) defaults() (Options, error) {
 	if o.MIGSlices < 1 || o.MIGSlices > 7 {
 		return o, fmt.Errorf("cluster: MIG slice count %d outside 1..7", o.MIGSlices)
 	}
-	if o.Shards < 0 {
+	if o.Shards <= 0 {
 		o.Shards = shard.Default(o.Devices * o.MIGSlices)
 	}
 	if o.AdmitFactor == 0 {
@@ -310,12 +303,9 @@ func (r *Result) MeanWaiting() float64 { return stats.Mean(r.WaitingT) }
 
 // Sim is one configured simulation.
 type Sim struct {
-	opts   Options
-	rng    *xrand.Rand
-	engine *eventq.Sim
-	// sh is the sharded engine (nil on the legacy single-calendar
-	// path). When set, engine aliases sh.Global() so shared helpers
-	// (measureFault's clock read) work in both modes.
+	opts Options
+	// sh is the event engine: the global control-plane calendar plus one
+	// calendar per device lane.
 	sh      *shard.Engine
 	devices []*deviceState
 	meas    map[string]*deviceMeasurer
@@ -357,22 +347,12 @@ type Sim struct {
 	// Policies only read the slice during SelectDevice (values they
 	// retain are copied out), so the storage is reusable.
 	viewsBuf []core.DeviceView
-	// snapBuf backs the d.training snapshots taken where the loop body
-	// can rebuild the live slice (evictions, completions). The snapshot
-	// call chains never take a second snapshot, so one buffer suffices.
-	snapBuf []*taskState
 	// tierBuf/scoreBuf back the class-steered selection's per-tier view
 	// slice and per-candidate score slice (class-aware runs only).
 	tierBuf  []core.DeviceView
 	scoreBuf []float64
 
 	res *Result
-}
-
-// snapshotTraining copies d.training into the reusable snapshot buffer.
-func (s *Sim) snapshotTraining(d *deviceState) []*taskState {
-	s.snapBuf = append(s.snapBuf[:0], d.training...)
-	return s.snapBuf
 }
 
 // simObs is the cluster-level instrument cache.
@@ -458,12 +438,14 @@ func New(opts Options) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
+	// rng is the run's root stream; every per-device stream forks from
+	// it by name.
+	rng := xrand.New(opts.Seed).ForkString("cluster")
 	s := &Sim{
-		opts: opts,
-		rng:  xrand.New(opts.Seed).ForkString("cluster"),
-		meas: make(map[string]*deviceMeasurer),
-		queue:  sched.NewQueue(opts.QueuePolicy),
-		jobs:   make(map[int]*queueJob),
+		opts:  opts,
+		meas:  make(map[string]*deviceMeasurer),
+		queue: sched.NewQueue(opts.QueuePolicy),
+		jobs:  make(map[int]*queueJob),
 		res: &Result{
 			Policy:       opts.Policy.Name(),
 			SLOViolation: make(map[string]float64),
@@ -539,31 +521,24 @@ func New(opts Options) (*Sim, error) {
 	// setting — every GPU serves inference and hosts training
 	// opportunistically).
 	schedulable := opts.Devices * opts.MIGSlices
-	// Engine selection: legacy single calendar, or the sharded engine
-	// with devices partitioned into contiguous lanes. Lanes drain in
-	// parallel only when every shared sink is off — observation,
+	// The engine partitions devices into contiguous lanes. Lanes drain
+	// in parallel only when every shared sink is off — observation,
 	// tracing, attribution, and recording all emit from inside the
 	// per-device window, so any of them forces the inline sequential
-	// drain (still sharded, still lane-count invariant).
-	var split [][2]int
-	if opts.Shards > 0 {
-		split = shard.Split(schedulable, opts.Shards)
-		workers := len(split)
-		if g := runtime.GOMAXPROCS(0); workers > g {
-			workers = g
-		}
-		if opts.Obs != nil || opts.Trace != nil || opts.Attr != nil || opts.Record != nil {
-			workers = 1
-		}
-		sh, err := shard.New(len(split), workers)
-		if err != nil {
-			return nil, err
-		}
-		s.sh = sh
-		s.engine = sh.Global()
-	} else {
-		s.engine = eventq.New()
+	// drain (still lane-count invariant).
+	split := shard.Split(schedulable, opts.Shards)
+	workers := len(split)
+	if g := runtime.GOMAXPROCS(0); workers > g {
+		workers = g
 	}
+	if opts.Obs != nil || opts.Trace != nil || opts.Attr != nil || opts.Record != nil {
+		workers = 1
+	}
+	sh, err := shard.New(len(split), workers)
+	if err != nil {
+		return nil, err
+	}
+	s.sh = sh
 	memMB := float64(0)
 	if opts.MIGSlices > 1 {
 		memMB = gpu.A100MemoryMB / float64(opts.MIGSlices)
@@ -589,10 +564,10 @@ func New(opts Options) (*Sim, error) {
 			info = svc
 			q = replayStreams[devID]
 			// No qps rng fork in replay: ForkString never advances the
-			// parent stream, so skipping it leaves s.rng bit-identical to
+			// parent stream, so skipping it leaves rng bit-identical to
 			// the recorded run's.
 		} else {
-			q = trace.NewFluctuatingQPS(info.BaseQPS, s.rng.ForkString("qps:"+devID))
+			q = trace.NewFluctuatingQPS(info.BaseQPS, rng.ForkString("qps:"+devID))
 			if opts.LoadFactor != 1 {
 				q = trace.ScaledQPS{Inner: q, Factor: opts.LoadFactor}
 			}
@@ -626,11 +601,10 @@ func New(opts Options) (*Sim, error) {
 			// degradation windows (factor 1 outside them).
 			ds.pool.SetTransferScale(s.inj.PCIeScale)
 		}
-		// Sharded-mode wiring. The per-device noise stream is forked
-		// unconditionally: ForkString never advances the parent, so the
-		// legacy path (which keeps drawing from s.rng) is untouched.
+		// Lane wiring: the global device index and the device's own
+		// measurement-noise stream (see deviceState.winRNG).
 		ds.gidx = i
-		ds.winRNG = s.rng.ForkString("win:" + devID)
+		ds.winRNG = rng.ForkString("win:" + devID)
 		// Catalog index of the resident service (replay may have swapped
 		// info away from the round-robin default).
 		for ci := range opts.Services {
@@ -639,98 +613,18 @@ func New(opts Options) (*Sim, error) {
 				break
 			}
 		}
-		if split != nil {
-			for i >= split[laneIdx][1] {
-				laneIdx++
-			}
-			ds.lane = laneIdx
+		for i >= split[laneIdx][1] {
+			laneIdx++
 		}
+		ds.lane = laneIdx
 		s.devices = append(s.devices, ds)
-		s.meas[devID] = &deviceMeasurer{oracle: opts.Oracle, dev: ds, rng: s.rng.ForkString("meas:" + devID), sim: s}
+		s.meas[devID] = &deviceMeasurer{oracle: opts.Oracle, dev: ds, rng: rng.ForkString("meas:" + devID), sim: s}
 	}
 	s.measMap = make(map[string]core.Measurer, len(s.meas))
 	for id, m := range s.meas {
 		s.measMap[id] = m
 	}
 	return s, nil
-}
-
-// Run executes the simulation to completion (all admitted tasks done)
-// or to the safety horizon, and returns the metrics.
-func (s *Sim) Run() (*Result, error) {
-	if s.sh != nil {
-		return s.runSharded()
-	}
-	// Initial per-device configuration and memory placement.
-	for _, d := range s.devices {
-		d.svc.curQPS = d.svc.qpsTrace.At(0)
-		if err := s.configure(0, d, true, "initial"); err != nil {
-			return nil, err
-		}
-		if err := d.pool.Alloc(0, "svc", memmgr.PriorityInference, d.svc.info.MemoryMB(d.svc.batch)); err != nil {
-			return nil, err
-		}
-		if err := d.dev.Place(gpu.Resident{ID: "svc", Kind: gpu.KindInference, Share: d.svc.delta, MemoryMB: d.svc.info.MemoryMB(d.svc.batch)}); err != nil {
-			return nil, err
-		}
-		d.svc.deployed = true
-	}
-	// Fault schedule: every injected outage window becomes a pair of
-	// calendar events. Windows are drawn per device from seed-derived
-	// streams, so the schedule is a pure function of (Seed, Faults) and
-	// identical across worker counts.
-	if s.inj != nil {
-		for _, d := range s.devices {
-			d := d
-			for _, w := range s.inj.DeviceWindows(d.dev.ID, s.opts.MaxHorizonSec) {
-				if _, err := s.engine.At(w.Start, func(now float64) { s.failDevice(now, d) }); err != nil {
-					return nil, err
-				}
-				if _, err := s.engine.At(w.End, func(now float64) { s.recoverDevice(now, d) }); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	// Arrival events. A recorder captures the submission sequence as
-	// scheduled — the recorded trace replays these exact arrivals.
-	for _, a := range s.opts.Arrivals {
-		arr := a
-		if s.opts.Record != nil {
-			s.opts.Record.Task(arr)
-		}
-		if _, err := s.engine.At(arr.At, func(now float64) { s.onArrival(now, arr) }); err != nil {
-			return nil, err
-		}
-	}
-	// Control windows. On this legacy engine the self-profiling signal
-	// is the whole window's wall-clock (the sharded engine profiles per
-	// barrier phase instead).
-	if s.tl != nil {
-		s.tl.engineWindow = s.tl.store.Series(timeline.EngineWindowMs, "")
-	}
-	stop, err := s.engine.EveryUntil(s.opts.WindowSec, func(now float64) {
-		if s.opts.Ctx != nil && s.opts.Ctx.Err() != nil {
-			s.engine.Stop()
-			return
-		}
-		s.window(now)
-		if s.allDone() && s.queue.Len() == 0 {
-			s.engine.Stop()
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer stop()
-	s.engine.Run(s.opts.MaxHorizonSec)
-	if s.opts.Ctx != nil {
-		if err := s.opts.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	s.finalize(s.engine.Now())
-	return s.res, nil
 }
 
 func (s *Sim) allDone() bool {
@@ -1231,239 +1125,6 @@ func (s *Sim) syncShares(now float64, d *deviceState) {
 	}
 }
 
-// window advances one control interval.
-func (s *Sim) window(now float64) {
-	var wallStart time.Time
-	if s.tl != nil && s.tl.engineWindow != nil {
-		wallStart = time.Now()
-	}
-	w := s.opts.WindowSec
-	var smSum, memSum float64
-	memHot := 0
-	for di, d := range s.devices {
-		if d.down {
-			// A failed device serves nothing and burns nothing: it
-			// contributes zero utilization (the denominator still counts
-			// it) and accrues no SLO windows during the outage. Timeline
-			// scratch is zeroed so the barrier roll-up sees no stale
-			// window; the placement-facing smUtil/memFrac are left alone
-			// (the legacy path deliberately keeps their last values).
-			d.winQPS, d.winShed, d.winLat = 0, 0, 0
-			d.winOK, d.winViol = false, false
-			continue
-		}
-		svc := d.svc
-		qps := svc.qpsTrace.At(now)
-		offered := qps
-
-		// Admission control (class-aware runs only): a shed-eligible
-		// service's offered load is capped at the admission threshold —
-		// AdmitFactor × nominal QPS (span.BurstFactor by default) — and
-		// the excess is dropped at the door instead of driving the
-		// window budget (and the co-located critical services' retunes)
-		// into the ground. Critical/standard load is never shed; batch
-		// defers but keeps every request.
-		var shedQPS float64
-		if s.classAware && svc.info.Class.SheddableLoad() {
-			admitCap := s.opts.AdmitFactor * svc.info.BaseQPS * s.opts.LoadFactor
-			if admitCap > 0 && qps > admitCap {
-				shedQPS = qps - admitCap
-				qps = admitCap
-				cls := svc.info.Class.String()
-				if s.res.ShedRequests == nil {
-					s.res.ShedRequests = make(map[string]float64)
-				}
-				s.res.ShedRequests[cls] += shedQPS * w
-				s.res.ShedWindows++
-				if s.attr != nil {
-					s.attr.ObserveShed(cls, shedQPS*w)
-				}
-				if s.obsv != nil {
-					s.obsv.sheds.Inc()
-					if cc := d.obsv.cls; cc != nil {
-						cc.shed.Add(shedQPS * w)
-					}
-					s.obsv.sink.Emit(obs.Event{
-						Time: now, Type: obs.EventLoadShed, Device: d.dev.ID,
-						Service: svc.info.Name, Value: shedQPS, Cause: cls,
-					})
-				}
-			}
-		}
-
-		// Monitor: retune on a large QPS change (§5.3.2 case 2).
-		if !s.opts.DisableRetune && relChange(svc.curQPS, qps) >= s.opts.QPSChangeThreshold {
-			svc.curQPS = qps
-			_ = s.configure(now, d, false, "qps-change")
-		} else if d.hasPaused() && now-d.lastResumeTry >= resumeRetrySec {
-			// Paused training: periodically probe whether the load has
-			// subsided enough to resume multiplexing.
-			d.lastResumeTry = now
-			svc.curQPS = qps
-			_ = s.configure(now, d, false, "resume-probe")
-		}
-		// A task paused too long is evicted back to the queue so the
-		// scheduler can find it a compatible device (checkpointed).
-		for _, t := range s.snapshotTraining(d) {
-			if !t.done && t.paused && now-t.pausedAt >= pauseEvictSec {
-				s.requeue(now, d, t)
-			}
-		}
-
-		// SLO accounting with the true co-located latency plus noise.
-		coloc := d.activeScratch()
-		lat, err := s.opts.Oracle.MeasureLatency(svc.info.Name, svc.batch, svc.delta, coloc, s.rng)
-		violated := false
-		if err == nil {
-			budget := svc.info.SLOms * float64(svc.batch) / qps
-			svc.totalWin++
-			if di == s.opts.TraceDeviceIdx-1 {
-				var swapped float64
-				for _, t := range d.training {
-					if out, err := d.pool.SwappedOutMB(t.allocID); err == nil {
-						swapped += out
-					}
-				}
-				s.res.Trace = append(s.res.Trace, TracePoint{
-					Time: now, QPS: qps, Batch: svc.batch, Delta: svc.delta,
-					LatencyMs: lat, BudgetMs: budget, Violated: lat > budget,
-					SwappedMB: swapped, Paused: d.hasPaused(),
-				})
-			}
-			if s.obsv != nil {
-				d.obsv.latency.Observe(lat)
-				if cc := d.obsv.cls; cc != nil {
-					cc.windows.Inc()
-				}
-			}
-			if lat > budget {
-				violated = true
-				svc.violWin++
-				if s.attr != nil {
-					// Capture the violation's context for cause
-					// classification at finalize time. Residents are
-					// copied out of the scratch co-location list.
-					residents := make([]string, len(coloc))
-					for ri, ct := range coloc {
-						residents[ri] = ct.Name
-					}
-					s.attr.Observe(span.Sample{
-						Time: now, Device: d.dev.ID, Service: svc.info.Name,
-						LatencyMs: lat, BudgetMs: budget, QPS: qps,
-						BaseQPS:   svc.info.BaseQPS * s.opts.LoadFactor,
-						Residents: residents,
-						Class:     svc.info.Class.String(),
-						ShedQPS:   shedQPS,
-					})
-				}
-				if s.obsv != nil {
-					s.obsv.violations.Inc()
-					d.obsv.violations.Inc()
-					if cc := d.obsv.cls; cc != nil {
-						cc.violations.Inc()
-					}
-					s.obsv.sink.Emit(obs.Event{
-						Time: now, Type: obs.EventSLOViolation, Device: d.dev.ID,
-						Service: svc.info.Name, Value: lat, Cause: "window-budget",
-					})
-				}
-				// Monitor: "In cases where the Monitor detects that the
-				// SLO is at risk of being violated, it triggers adaptive
-				// batching or resource scaling accordingly" (§6).
-				if !s.opts.DisableRetune {
-					svc.curQPS = qps
-					_ = s.configure(now, d, false, "slo-risk")
-				}
-			}
-			s.res.MeanP99[svc.info.Name] += lat
-		}
-		if s.tl != nil {
-			d.winQPS, d.winShed = offered, shedQPS
-			d.winOK, d.winLat, d.winViol = err == nil, lat, violated
-		}
-
-		// Training progress. Iterate a snapshot: completions rebuild
-		// d.training and may place new tasks mid-loop.
-		share := d.trainShare()
-		snapshot := s.snapshotTraining(d)
-		for _, t := range snapshot {
-			if t.done || t.paused || share <= 0 {
-				continue
-			}
-			iter, err := s.opts.Oracle.TrueIteration(t.task, share, svc.info.Name, svc.batch, svc.delta)
-			if err != nil {
-				continue
-			}
-			// Swapped-out memory slows the task down proportionally.
-			if out, err := d.pool.SwappedOutMB(t.allocID); err == nil && t.task.MemoryMB() > 0 {
-				frac := out / t.task.MemoryMB()
-				iter *= 1 + 0.5*frac
-			}
-			t.itersDone += w * 1000 / iter
-			if t.itersDone >= float64(t.iters) {
-				t.done = true
-				t.finishAt = now + w
-				s.complete(now+w, d, t)
-			}
-		}
-
-		// Memory reclamation: touch swapped training back in when the
-		// device has headroom (Fig. 16's reclaim at QPS drop).
-		if d.pool.CapacityMB()-d.pool.DeviceUsedMB() > 1024 {
-			for _, t := range d.training {
-				if t.done {
-					continue
-				}
-				if out, err := d.pool.SwappedOutMB(t.allocID); err == nil && out > 0 {
-					_, _ = d.pool.Touch(now, t.allocID)
-					break // one reclaim per window per device
-				}
-			}
-		}
-
-		// Utilization (Fig. 10): the service keeps its partition busy
-		// for the fraction of time batches are in flight; active
-		// training burns its share fully.
-		busy := (qps / float64(svc.batch)) * (latOrZero(s.opts.Oracle, svc, coloc) / 1000)
-		if busy > 1 {
-			busy = 1
-		}
-		trainBusy := 0.0
-		for _, t := range d.training {
-			if !t.done && !t.paused {
-				trainBusy += share
-			}
-		}
-		d.smUtil = svc.delta*busy + trainBusy
-		if d.smUtil > 1 {
-			d.smUtil = 1
-		}
-		smSum += d.smUtil
-		memFrac := minf(d.pool.DeviceUsedMB(), d.pool.CapacityMB()) / d.pool.CapacityMB()
-		memSum += memFrac
-		if memFrac > memPressureFrac {
-			memHot++
-		}
-	}
-	_ = s.res.SMUtil.Add(now, smSum/float64(len(s.devices)))
-	_ = s.res.MemUtil.Add(now, memSum/float64(len(s.devices)))
-	if s.obsv != nil {
-		// Per-window cluster snapshot (the obs analogue of Fig. 10's
-		// utilization series plus the scheduler backlog).
-		s.obsv.windows.Inc()
-		s.obsv.smUtil.Set(smSum / float64(len(s.devices)))
-		s.obsv.memUtil.Set(memSum / float64(len(s.devices)))
-		s.obsv.queueDepth.Set(float64(s.queue.Len()))
-	}
-	if s.tl != nil {
-		n := float64(len(s.devices))
-		s.tl.window(s, now, smSum/n, memSum/n, memHot)
-		if s.tl.engineWindow != nil {
-			s.tl.engineWindow.Add(now, float64(time.Since(wallStart))/float64(time.Millisecond))
-		}
-	}
-}
-
 func latOrZero(o *perf.Oracle, svc *serviceState, coloc []model.TrainingTask) float64 {
 	l, err := o.TrueLatency(svc.info.Name, svc.batch, svc.delta, coloc)
 	if err != nil {
@@ -1615,7 +1276,8 @@ func (s *Sim) failDevice(now float64, d *deviceState) {
 			Service: d.svc.info.Name,
 		})
 	}
-	for _, t := range s.snapshotTraining(d) {
+	// evictTask rebuilds d.training in place, so iterate a copy.
+	for _, t := range append([]*taskState(nil), d.training...) {
 		if !t.done {
 			s.evictTask(now, d, t, "device-failed", true)
 		}
@@ -1677,7 +1339,7 @@ func (s *Sim) measureFault(d *deviceState) error {
 	if !s.inj.MeasureFails(d.dev.ID) {
 		return nil
 	}
-	now := s.engine.Now()
+	now := s.sh.Now()
 	retries := s.inj.Retries()
 	for attempt := 1; attempt <= retries; attempt++ {
 		s.res.MeasureRetries++
@@ -1708,18 +1370,15 @@ func (s *Sim) finalize(now float64) {
 	for _, d := range s.devices {
 		svc := d.svc
 		name := svc.info.Name
-		if s.sh != nil {
-			// Sharded runs accumulate per device inside the lanes; merge
-			// here in global device order so every float sum has a fixed
-			// order regardless of lane count.
-			s.res.MeanP99[name] += svc.latSum
-			if svc.shedWins > 0 {
-				if s.res.ShedRequests == nil {
-					s.res.ShedRequests = make(map[string]float64)
-				}
-				s.res.ShedRequests[svc.info.Class.String()] += svc.shedReq
-				s.res.ShedWindows += svc.shedWins
+		// Lanes accumulate per device; merge here in global device order
+		// so every float sum has a fixed order regardless of lane count.
+		s.res.MeanP99[name] += svc.latSum
+		if svc.shedWins > 0 {
+			if s.res.ShedRequests == nil {
+				s.res.ShedRequests = make(map[string]float64)
 			}
+			s.res.ShedRequests[svc.info.Class.String()] += svc.shedReq
+			s.res.ShedWindows += svc.shedWins
 		}
 		if svc.totalWin > 0 {
 			// Aggregate violation rate over all devices hosting the

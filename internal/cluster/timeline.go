@@ -12,11 +12,11 @@ import (
 // runs only). The discipline mirrors the other observability sinks —
 // handles resolve once at construction, every hot-path site guards on
 // one nil check, recording never feeds back into simulation state —
-// with one deliberate difference: timelines do NOT force the sharded
-// engine to a single worker. Lane handlers only write per-device
-// scratch fields (deviceState.win*); all Series.Add calls happen in the
-// global barrier phase, iterating devices in global order, so the
-// recorded series are invariant to lane and worker counts.
+// with one deliberate difference: timelines do NOT force the engine to
+// a single worker. Lane handlers only write per-device scratch fields
+// (deviceState.win*); all Series.Add calls happen in the global barrier
+// phase, iterating devices in global order, so the recorded series are
+// invariant to lane and worker counts.
 
 // tlSvcSeries caches one catalog service's per-window series handles.
 type tlSvcSeries struct {
@@ -72,12 +72,6 @@ type tlState struct {
 	down        *timeline.Series
 	queueDepth  *timeline.Series
 	memPressure *timeline.Series
-
-	// engineWindow is the legacy single-calendar engine's wall-clock
-	// profile (the sharded engine records the same kind via tlProfiler
-	// as the sum of its barrier phases); nil until the legacy Run
-	// installs it.
-	engineWindow *timeline.Series
 }
 
 func newTLState(st *timeline.Store, services []model.InferenceService, classAware bool) *tlState {
@@ -133,13 +127,12 @@ func newTLState(st *timeline.Store, services []model.InferenceService, classAwar
 	return t
 }
 
-// window flushes one control window into the store: both engines call
-// it exactly once per window from their single-threaded phase (the
-// legacy window loop's tail, the sharded barrier tick), after every
-// device's win* scratch fields are settled for the window. Devices are
-// folded in global order, services and classes in catalog/criticality
-// order, so every float sum has a fixed order for any lane or worker
-// count.
+// window flushes one control window into the store: the barrier tick
+// calls it exactly once per window from the single-threaded global
+// phase, after every device's win* scratch fields are settled for the
+// window. Devices are folded in global order, services and classes in
+// catalog/criticality order, so every float sum has a fixed order for
+// any lane or worker count.
 func (t *tlState) window(s *Sim, now, smAvg, memAvg float64, memHot int) {
 	for i := range t.acc {
 		t.acc[i] = tlAccum{}
@@ -226,10 +219,10 @@ func newTLProfiler(st *timeline.Store) *tlProfiler {
 		drain:  st.Series(timeline.EngineDrainMs, ""),
 		merge:  st.Series(timeline.EngineMergeMs, ""),
 		apply:  st.Series(timeline.EngineApplyMs, ""),
-		mail:  st.Series(timeline.EngineMail, ""),
-		imb:   st.Series(timeline.EngineLaneImbalance, ""),
-		heap:  st.Series(timeline.EngineHeapBytes, ""),
-		gc:    st.Series(timeline.EngineGCCycles, ""),
+		mail:   st.Series(timeline.EngineMail, ""),
+		imb:    st.Series(timeline.EngineLaneImbalance, ""),
+		heap:   st.Series(timeline.EngineHeapBytes, ""),
+		gc:     st.Series(timeline.EngineGCCycles, ""),
 		samples: []metrics.Sample{
 			{Name: "/memory/classes/heap/objects:bytes"},
 			{Name: "/gc/cycles/total:gc-cycles"},

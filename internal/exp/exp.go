@@ -22,9 +22,9 @@ import (
 	"mudi/internal/profiler"
 	"mudi/internal/report"
 	"mudi/internal/runner"
+	"mudi/internal/sched"
 	"mudi/internal/span"
 	"mudi/internal/timeline"
-	"mudi/internal/sched"
 	"mudi/internal/trace"
 	"mudi/internal/tuner"
 	"mudi/internal/xrand"
@@ -52,11 +52,10 @@ type Config struct {
 	// and draws from an RNG stream derived from (Seed, cell index), and
 	// results merge in cell-key order, never completion order.
 	Parallel int
-	// Shards selects each cell's event engine (cluster.Options.Shards):
-	// 0 keeps the legacy single calendar, a positive count runs the
-	// sharded engine with that many lanes, negative picks the default.
-	// Within the sharded engine, results are identical for every lane
-	// count — the shard determinism tests pin that.
+	// Shards is each cell's event-engine lane count
+	// (cluster.Options.Shards): 0 or negative picks the default, a
+	// positive count pins that many lanes. Results are identical for
+	// every lane count — the shard determinism tests pin that.
 	Shards int
 	// Ctx, when non-nil, cancels in-flight harness runs: no new cells
 	// start after it is done and the run returns Ctx.Err().

@@ -125,12 +125,35 @@ func Handler(opts Options) http.Handler {
 	return mux
 }
 
+// maxResampleRes caps the /timeline res parameter: a resample allocates
+// res points, and no retained level holds more buckets than the
+// default ring capacity, so a finer resample carries no more detail.
+const maxResampleRes = 4096
+
+// finiteParam parses an optional float query parameter; empty selects
+// def. A malformed or non-finite value answers 400 and returns false.
+func finiteParam(w http.ResponseWriter, s, name string, def float64) (float64, bool) {
+	if s == "" {
+		return def, true
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%q is not finite", s)
+	}
+	if err != nil {
+		http.Error(w, "bad "+name+": "+err.Error(), http.StatusBadRequest)
+		return 0, false
+	}
+	return v, true
+}
+
 // serveTimeline answers timeline range queries. With no parameters it
 // returns the series index (timeline.KeyInfo list). With
 // ?series=kind[:scope] (or a separate &scope=) it returns the series
 // over [from, to]: the finest retained resolution level by default
-// ({kind, scope, stride, buckets}), or &res=N for an N-point mean
-// resample ({kind, scope, times, values}).
+// ({kind, scope, stride, buckets}), or &res=N (at most maxResampleRes)
+// for an N-point mean resample ({kind, scope, times, values}). from and
+// to must be finite; omitting them selects the whole series.
 func serveTimeline(w http.ResponseWriter, r *http.Request, st *timeline.Store) {
 	if st == nil {
 		http.Error(w, "timeline recording disabled", http.StatusNotFound)
@@ -156,24 +179,19 @@ func serveTimeline(w http.ResponseWriter, r *http.Request, st *timeline.Store) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	from, to := 0.0, math.Inf(1)
-	if s := q.Get("from"); s != "" {
-		if from, err = strconv.ParseFloat(s, 64); err != nil {
-			http.Error(w, "bad from: "+err.Error(), http.StatusBadRequest)
-			return
-		}
+	from, ok := finiteParam(w, q.Get("from"), "from", 0)
+	if !ok {
+		return
 	}
-	if s := q.Get("to"); s != "" {
-		if to, err = strconv.ParseFloat(s, 64); err != nil {
-			http.Error(w, "bad to: "+err.Error(), http.StatusBadRequest)
-			return
-		}
+	to, ok := finiteParam(w, q.Get("to"), "to", math.Inf(1))
+	if !ok {
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if s := q.Get("res"); s != "" {
 		res, err := strconv.Atoi(s)
-		if err != nil || res <= 0 {
-			http.Error(w, "bad res: want a positive integer", http.StatusBadRequest)
+		if err != nil || res <= 0 || res > maxResampleRes {
+			http.Error(w, fmt.Sprintf("bad res: want an integer in [1, %d]", maxResampleRes), http.StatusBadRequest)
 			return
 		}
 		times, values, ok := st.Resample(kind, scope, from, to, res)

@@ -249,6 +249,44 @@ func TestTimelineBadRequests(t *testing.T) {
 	}
 }
 
+// TestTimelineInputBounds: res is capped so a huge value cannot make
+// the resample allocate that many points, and from/to must be finite.
+func TestTimelineInputBounds(t *testing.T) {
+	opts := Options{Timeline: tlStore(t)}
+	const q = "/timeline?series=service_qps:bert"
+	cases := []struct {
+		name, query string
+		want        int
+	}{
+		{"res-at-cap", "&res=4096", 200},
+		{"res-over-cap", "&res=4097", 400},
+		{"res-max-int32", "&res=2147483647", 400},
+		{"res-negative", "&res=-1", 400},
+		{"from-nan", "&from=NaN", 400},
+		{"from-inf", "&from=Inf", 400},
+		{"from-plus-inf", "&from=%2BInf", 400},
+		{"to-neg-inf", "&to=-Inf", 400},
+		{"to-overflow", "&to=1e999", 400},
+		{"resample-to-nan", "&res=4&to=NaN", 400},
+		{"finite-range", "&from=-5&to=1e9", 200},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := get(t, opts, q+tc.query)
+			if rec.Code != tc.want {
+				t.Fatalf("status %d, want %d: %s", rec.Code, tc.want, rec.Body.String())
+			}
+		})
+	}
+	var got struct {
+		Times []float64 `json:"times"`
+	}
+	rec := get(t, opts, q+"&res=4096")
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || len(got.Times) != 4096 {
+		t.Fatalf("res=4096 returned %d points (err %v), want 4096", len(got.Times), err)
+	}
+}
+
 // TestWatchSSE drives the live stream end to end over a real
 // connection: events arrive in seq order, carry incrementing SSE ids,
 // and samples recorded after the subscription turn up on a later poll.

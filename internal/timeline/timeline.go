@@ -87,12 +87,12 @@ const (
 	// All Profile() kinds are excluded from Fingerprint — wall-clock is
 	// inherently nondeterministic.
 	//
-	// EngineWindowMs is the legacy single-calendar engine's wall-clock
-	// per control window. The sharded engine instead reports per-barrier
-	// phases: lane drain, mailbox merge+sort, and control-plane apply
-	// (EngineDrainMs / EngineMergeMs / EngineApplyMs), plus the mail
-	// volume, the drained-event imbalance between the busiest and
-	// laziest lane, and Go runtime heap/GC samples.
+	// EngineWindowMs is the engine's wall-clock per barrier, the sum of
+	// its phases: lane drain, mailbox merge+sort, and control-plane
+	// apply (EngineDrainMs / EngineMergeMs / EngineApplyMs). The
+	// remaining kinds are the mail volume, the drained-event imbalance
+	// between the busiest and laziest lane, and Go runtime heap/GC
+	// samples.
 	EngineWindowMs
 	EngineDrainMs
 	EngineMergeMs
@@ -143,21 +143,6 @@ func (k Kind) String() string {
 // wall-clock (or runtime-state) measurements excluded from Fingerprint
 // and from every determinism contract.
 func (k Kind) Profile() bool { return k >= EngineWindowMs && k < kindCount }
-
-// Workload reports whether the kind is a pure function of the
-// synthesized workload and static configuration (offered QPS, the
-// admission-control shed derived from it, and the injected fault
-// schedule). Workload kinds are byte-identical even across the legacy
-// and sharded engines — the strongest determinism class; everything
-// else that is measurement-derived is identical only within one
-// engine's determinism universe.
-func (k Kind) Workload() bool {
-	switch k {
-	case ServiceQPS, ServiceAdmitted, ServiceShed, ClassQPS, ClassShed, FleetDownDevices:
-		return true
-	}
-	return false
-}
 
 // Kinds lists every known kind in taxonomy order.
 func Kinds() []Kind {

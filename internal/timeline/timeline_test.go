@@ -255,15 +255,17 @@ func TestParseKindRoundTrips(t *testing.T) {
 }
 
 func TestWorkloadAndProfileClasses(t *testing.T) {
+	// The simulated (workload-side) kinds come first in the taxonomy and
+	// the engine self-profiling kinds last; Profile draws the line.
 	for _, k := range Kinds() {
-		if k.Workload() && k.Profile() {
-			t.Fatalf("%v is both workload and profile", k)
+		if k.Profile() != (k >= EngineWindowMs) {
+			t.Fatalf("%v misclassified: Profile() = %v", k, k.Profile())
 		}
 	}
-	if !ServiceQPS.Workload() || !FleetDownDevices.Workload() {
-		t.Fatalf("workload kinds misclassified")
+	if ServiceQPS.Profile() || FleetDownDevices.Profile() || ServiceP99.Profile() {
+		t.Fatalf("workload kinds classed as profile")
 	}
-	if !EngineDrainMs.Profile() || !EngineWindowMs.Profile() || ServiceP99.Profile() {
+	if !EngineDrainMs.Profile() || !EngineWindowMs.Profile() || !EngineGCCycles.Profile() {
 		t.Fatalf("profile kinds misclassified")
 	}
 }

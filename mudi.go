@@ -130,13 +130,13 @@ func (s *System) Policy() Policy { return s.policy }
 // BaselinePolicy instantiates one of the paper's comparison systems by
 // its typed ID (BaselineGSLICE, BaselineGpulets, BaselineMuxFlow,
 // BaselineRandom, or BaselineOptimal). Unknown IDs unwrap to
-// *OptionError with Field "Baseline" (the shared resolveID shape).
+// *OptionError with Field "Baseline".
 func (s *System) BaselinePolicy(id BaselineID) (Policy, error) {
 	known := make([]string, 0, len(Baselines()))
 	for _, b := range Baselines() {
 		known = append(known, string(b))
 	}
-	resolved, oe := resolveID("Baseline", "", string(id), "", known)
+	resolved, oe := resolveID("Baseline", string(id), known)
 	if oe == nil && resolved == "" {
 		// There is no default baseline — an empty ID is as unknown as a
 		// bogus one.
@@ -163,13 +163,6 @@ func (s *System) BaselinePolicy(id BaselineID) (Policy, error) {
 	return nil, fmt.Errorf("mudi: unknown baseline %q (known: %v)", id, Baselines())
 }
 
-// Baseline instantiates a comparison system from its string name.
-//
-// Deprecated: use BaselinePolicy with a typed BaselineID.
-func (s *System) Baseline(name string) (Policy, error) {
-	return s.BaselinePolicy(BaselineID(name))
-}
-
 // SimOptions parameterizes one simulation run.
 type SimOptions struct {
 	// Policy to drive; nil selects the system's Mudi policy.
@@ -193,11 +186,6 @@ type SimOptions struct {
 	// Queue selects the scheduling order of the training queue;
 	// zero value selects QueueFCFS.
 	Queue QueuePolicyID
-	// QueuePolicy is the stringly-typed queue selector.
-	//
-	// Deprecated: use the typed Queue field. Setting both to different
-	// policies is an *OptionError.
-	QueuePolicy string
 	// TraceDeviceIdx (1-based) records a per-window trace of one device.
 	TraceDeviceIdx int
 	// DisableRetune turns off the Monitor→Tuner loop (ablation).
@@ -231,7 +219,7 @@ type SimOptions struct {
 	// run — per-service, per-class, fleet, and engine self-profiling
 	// signals (see timelines.go) — into Result.Timelines. Recording is
 	// passive: Result.Summary() is identical with and without it, and
-	// unlike Observe/Trace it does not serialize the sharded engine.
+	// unlike Observe/Trace it does not serialize the event engine.
 	Timelines bool
 	// Faults, when non-nil with at least one fault class enabled,
 	// deterministically injects failures — device outages with
@@ -276,14 +264,12 @@ type SimOptions struct {
 	// catalog name, applied after ClassMix. Unknown service names are an
 	// *OptionError.
 	ServiceClasses map[string]SLOClass
-	// Shards selects the event-engine sharding. 0 (the default) runs the
-	// single-calendar legacy engine, byte-identical to earlier releases.
-	// A negative value picks min(GOMAXPROCS, devices/64) lanes — the
-	// right setting for large clusters (see examples/largecluster).
-	// A positive value pins that many lanes (clamped to the device
-	// count). Sharded runs form their own determinism universe: the
-	// summary is byte-identical across every lane count and worker
-	// count, but intentionally differs from the legacy engine's.
+	// Shards is the event engine's lane count: devices are split into
+	// that many contiguous lanes (clamped to the device count) that
+	// drain in parallel between control-plane barriers. 0 or a negative
+	// value picks min(GOMAXPROCS, devices/64), at least 1. The summary
+	// is byte-identical across every lane count and worker count, so
+	// Shards only changes how fast a run finishes.
 	Shards int
 	// AdmitFactor scales the per-service burst admission cap: windows
 	// whose demand exceeds AdmitFactor × nominal QPS shed the excess

@@ -44,10 +44,7 @@ func SLOClasses() []SLOClass { return model.SLOClasses() }
 // "sheddable", "batch", "background"). The empty string is SLOUnset.
 func ParseSLOClass(s string) (SLOClass, error) { return model.ParseSLOClass(s) }
 
-// BaselineID identifies one of the paper's comparison systems. The
-// typed constants below replace the stringly-typed System.Baseline
-// argument; the string forms remain valid through the deprecated
-// shim.
+// BaselineID identifies one of the paper's comparison systems.
 type BaselineID string
 
 // The comparison systems of §7.
@@ -111,23 +108,10 @@ func (e *OptionError) Error() string {
 	return fmt.Sprintf("mudi: invalid option %s=%v: %s", e.Field, e.Value, e.Reason)
 }
 
-// resolveID folds a typed ID field and its deprecated stringly-typed
-// twin into the effective value — the one conflict/unknown error shape
-// behind every such pair (Queue/QueuePolicy, BaselinePolicy/Baseline).
-// The deprecated twin may restate the typed value but not contradict
-// it; the result must be one of the known IDs, with "" selecting the
-// caller's default.
-func resolveID(field, depField, typed, deprecated string, known []string) (string, *OptionError) {
-	v := typed
-	if deprecated != "" {
-		if v != "" && v != deprecated {
-			return "", &OptionError{
-				Field: field, Value: typed,
-				Reason: fmt.Sprintf("conflicts with deprecated %s=%q", depField, deprecated),
-			}
-		}
-		v = deprecated
-	}
+// resolveID checks an ID field against the known IDs: the result is
+// one of them, with "" selecting the caller's default. Anything else
+// is an *OptionError naming the field.
+func resolveID(field, v string, known []string) (string, *OptionError) {
 	if v == "" {
 		return "", nil
 	}
@@ -143,14 +127,13 @@ func resolveID(field, depField, typed, deprecated string, known []string) (strin
 }
 
 // queueID resolves the effective queue policy from the typed Queue
-// field and the deprecated QueuePolicy string, rejecting conflicting
-// settings.
+// field.
 func (o SimOptions) queueID() (QueuePolicyID, *OptionError) {
 	known := make([]string, 0, len(QueuePolicies()))
 	for _, q := range QueuePolicies() {
 		known = append(known, string(q))
 	}
-	id, oe := resolveID("Queue", "QueuePolicy", string(o.Queue), o.QueuePolicy, known)
+	id, oe := resolveID("Queue", string(o.Queue), known)
 	if oe != nil {
 		return "", oe
 	}
@@ -164,8 +147,9 @@ func (o SimOptions) queueID() (QueuePolicyID, *OptionError) {
 // Validate accepts them: Policy (system's Mudi), Devices (12),
 // Tasks (24), MeanGapSec (10 s), IterScale (0.002), LoadFactor (1.0),
 // Queue (QueueFCFS), TraceDeviceIdx (no trace), MIGSlices (no MIG
-// splitting; 1 is equivalently off), Shards (legacy single-calendar
-// engine), AdmitFactor (1.5× burst headroom).
+// splitting; 1 is equivalently off), Shards (the default lane count,
+// min(GOMAXPROCS, devices/64); negative values select it too),
+// AdmitFactor (1.5× burst headroom).
 func (o SimOptions) Validate() error {
 	if o.Devices < 0 {
 		return &OptionError{Field: "Devices", Value: o.Devices, Reason: "must be >= 0 (0 selects the default of 12)"}

@@ -41,7 +41,7 @@ func ParseTimelineKind(s string) (TimelineKind, error) { return timeline.ParseKi
 
 // TimelineFingerprint hashes the deterministic subset of a timeline
 // snapshot — every non-profile series, canonically encoded. Two runs
-// of the same sharded scenario produce equal fingerprints for any lane
+// of the same scenario produce equal fingerprints for any lane
 // or worker count; the wall-clock self-profiling series are excluded.
 func TimelineFingerprint(tls []Timeline) string { return timeline.Fingerprint(tls) }
 

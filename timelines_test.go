@@ -107,11 +107,11 @@ func TestTimelinesNDJSON(t *testing.T) {
 			t.Fatalf("series %s/%s exported empty", tl.Kind, tl.Scope)
 		}
 		switch {
-		case kind.Workload() && tl.Scope != "":
-			families["scoped-workload"] = true
 		case kind.Profile():
 			families["profile"] = true
-		case tl.Scope == "":
+		case tl.Scope != "":
+			families["scoped-workload"] = true
+		default:
 			families["fleet"] = true
 		}
 	}
