@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -105,6 +107,33 @@ func TestParseFaults(t *testing.T) {
 	}
 }
 
+// FuzzParseFaults: any -faults spec either fails to parse, fails
+// Validate, or yields a config whose every float field is finite —
+// and neither step panics.
+func FuzzParseFaults(f *testing.F) {
+	for _, seed := range []string{
+		"", "default", "mtbf=300,pciex=2.5,pcie-mtbf=100,pcie-mttr=10",
+		"meas=NaN", "pciex=2,pcie-mttr=NaN", "mtbf=+Inf", "mttr=-Inf",
+		"spin=nan", "pcie-mtbf=inf", "retries=3,seed=7", "mtbf=1e309",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := parseFaults(spec)
+		if err != nil || cfg == nil || cfg.Validate() != nil {
+			return
+		}
+		v := reflect.ValueOf(*cfg)
+		for i := 0; i < v.NumField(); i++ {
+			if fv := v.Field(i); fv.Kind() == reflect.Float64 {
+				if x := fv.Float(); math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("spec %q validated with %s = %v", spec, v.Type().Field(i).Name, x)
+				}
+			}
+		}
+	})
+}
+
 func TestRunErrors(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-burst", "nope"}, &b); err == nil {
@@ -112,6 +141,9 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-faults", "mtbf=-1"}, &b); err == nil {
 		t.Fatal("invalid fault config accepted")
+	}
+	if err := run([]string{"-faults", "meas=NaN"}, &b); err == nil {
+		t.Fatal("non-finite fault config accepted")
 	}
 	if err := run([]string{"-repeats", "2", "-json"}, &b); err == nil {
 		t.Fatal("-json with -repeats accepted")

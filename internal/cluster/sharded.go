@@ -4,14 +4,16 @@ import (
 	"mudi/internal/gpu"
 	"mudi/internal/memmgr"
 	"mudi/internal/obs"
+	"mudi/internal/shard"
 	"mudi/internal/span"
 )
 
 // This file is the run path: devices are partitioned into contiguous
-// lanes, each lane drains its own calendar of per-device window ticks,
-// and everything that crosses a lane boundary — retunes, completions,
-// evictions, placement, faults, arrivals — happens at a barrier,
-// either as a sequenced mailbox message or as a global calendar event.
+// lanes, and every control window the engine runs each lane's devices
+// in lockstep. Everything that crosses a lane boundary — retunes,
+// completions, evictions, placement, faults, arrivals — happens at a
+// barrier, either as a sequenced mailbox message or as a global
+// calendar event.
 // This is the paper's two-level split (§5.2–5.3): the per-device Local
 // Coordinator work runs in the lanes, the cluster-wide Online
 // Multiplexer in the global phase.
@@ -31,8 +33,8 @@ import (
 // Inside a lane, handlers touch only lane-owned state: the device, its
 // pool, its service (including the qps trace's per-device walk), and
 // its winRNG. Shared sinks (obs/trace/attr/record) force workers=1 at
-// construction, in which case lanes drain inline in index order and
-// every emission lands in global device order anyway.
+// construction, in which case lane windows run inline in index order
+// and every emission lands in global device order anyway.
 
 // Run executes the simulation to completion (all admitted tasks done)
 // or to the safety horizon, and returns the metrics.
@@ -60,10 +62,10 @@ func (s *Sim) Run() (*Result, error) {
 		for _, d := range s.devices {
 			d := d
 			for _, w := range s.inj.DeviceWindows(d.dev.ID, s.opts.MaxHorizonSec) {
-				if _, err := g.At(w.Start, func(now float64) { s.failDevice(now, d) }); err != nil {
+				if err := g.At(w.Start, func(now float64) { s.failDevice(now, d) }); err != nil {
 					return nil, err
 				}
-				if _, err := g.At(w.End, func(now float64) { s.recoverDevice(now, d) }); err != nil {
+				if err := g.At(w.End, func(now float64) { s.recoverDevice(now, d) }); err != nil {
 					return nil, err
 				}
 			}
@@ -74,41 +76,27 @@ func (s *Sim) Run() (*Result, error) {
 		if s.opts.Record != nil {
 			s.opts.Record.Task(arr)
 		}
-		if _, err := g.At(arr.At, func(now float64) { s.onArrival(now, arr) }); err != nil {
+		if err := g.At(arr.At, func(now float64) { s.onArrival(now, arr) }); err != nil {
 			return nil, err
 		}
 	}
-	// Per-device window ticks on the owning lane's calendar, scheduled
-	// in global device order so ties within a lane fire device-major.
-	stops := make([]func(), 0, len(s.devices)+1)
-	for _, d := range s.devices {
-		d := d
-		stop, err := s.sh.Lane(d.lane).Sim.EveryUntil(s.opts.WindowSec, func(now float64) {
-			s.deviceWindow(now, d)
-		})
-		if err != nil {
-			return nil, err
-		}
-		stops = append(stops, stop)
-	}
-	// The global barrier tick: cluster sums in device order, the
-	// cancellation check, and the all-done stop. Scheduled after faults
-	// and arrivals so ties at a window boundary run faults and arrivals
-	// before the accounting.
-	stop, err := g.EveryUntil(s.opts.WindowSec, func(now float64) { s.barrierTick(now) })
-	if err != nil {
-		return nil, err
-	}
-	stops = append(stops, stop)
 	// Engine self-profiling: wall-clock per barrier phase, mail volume,
-	// lane imbalance, heap/GC. Purely observational — the profiler only
-	// appends to timeline series the fingerprint excludes.
+	// heap/GC. Purely observational — the profiler only appends to
+	// timeline series the fingerprint excludes.
 	if s.tl != nil {
 		s.sh.SetProfiler(newTLProfiler(s.tl.store))
 	}
-	s.sh.Run(s.opts.MaxHorizonSec)
-	for _, st := range stops {
-		st()
+	// The engine owns the window clock: every WindowSec each lane runs
+	// its devices' windows in global device order, then the mailbox,
+	// the arrivals and faults due at that time, and the barrier tick.
+	laneWindow := func(l *shard.Lane, now float64) {
+		start, end := l.Devices()
+		for _, d := range s.devices[start:end] {
+			s.deviceWindow(now, l, d)
+		}
+	}
+	if err := s.sh.Run(s.opts.MaxHorizonSec, s.opts.WindowSec, laneWindow, s.barrierTick); err != nil {
+		return nil, err
 	}
 	if s.opts.Ctx != nil {
 		if err := s.opts.Ctx.Err(); err != nil {
@@ -120,9 +108,9 @@ func (s *Sim) Run() (*Result, error) {
 }
 
 // deviceWindow is one device's control window, run on its lane: every
-// cross-lane reaction is posted to the mailbox instead of firing
-// inline.
-func (s *Sim) deviceWindow(now float64, d *deviceState) {
+// cross-lane reaction is posted to the lane's mailbox instead of
+// firing inline.
+func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	w := s.opts.WindowSec
 	if d.down {
 		// A failed device serves nothing and burns nothing: it publishes
@@ -135,7 +123,6 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 		return
 	}
 	svc := d.svc
-	lane := s.sh.Lane(d.lane)
 	qps := svc.qpsTrace.At(now)
 	offered := qps
 
@@ -341,8 +328,9 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 
 // barrierTick is the global control-plane window: cancellation check,
 // cluster utilization sums over the values the lanes just published,
-// and the all-done stop. It runs after the mailbox applied, so
-// completions at this window are already visible to allDone.
+// and the all-done stop. It runs last at every window time, after the
+// mailbox and the arrivals and faults due then, so completions at this
+// window are already visible to allDone.
 func (s *Sim) barrierTick(now float64) {
 	if s.opts.Ctx != nil && s.opts.Ctx.Err() != nil {
 		s.sh.Stop()

@@ -45,10 +45,11 @@ type Options struct {
 	QueuePolicy sched.Policy // default FCFS (§6)
 
 	// Shards is the event engine's lane count. Devices are partitioned
-	// into that many contiguous lanes (clamped to the device count), each
-	// draining its own calendar between control-plane barriers; 0 or a
-	// negative count picks the default, min(GOMAXPROCS, devices/64). Any
-	// lane count produces a byte-identical Result.Summary().
+	// into that many contiguous lanes (clamped to the device count); each
+	// window the lanes run their devices' windows side by side, then meet
+	// at the control-plane barrier. 0 or a negative count picks the
+	// default, min(GOMAXPROCS, devices/64). Any lane count produces a
+	// byte-identical Result.Summary().
 	Shards int
 	// AdmitFactor scales the admission-control cap for shed-eligible
 	// classes: offered load above AdmitFactor × BaseQPS × LoadFactor is
@@ -304,8 +305,8 @@ func (r *Result) MeanWaiting() float64 { return stats.Mean(r.WaitingT) }
 // Sim is one configured simulation.
 type Sim struct {
 	opts Options
-	// sh is the event engine: the global control-plane calendar plus one
-	// calendar per device lane.
+	// sh is the event engine: the window clock, the device lanes, and
+	// the global calendar of arrivals and fault windows.
 	sh      *shard.Engine
 	devices []*deviceState
 	meas    map[string]*deviceMeasurer
@@ -521,20 +522,16 @@ func New(opts Options) (*Sim, error) {
 	// setting — every GPU serves inference and hosts training
 	// opportunistically).
 	schedulable := opts.Devices * opts.MIGSlices
-	// The engine partitions devices into contiguous lanes. Lanes drain
-	// in parallel only when every shared sink is off — observation,
+	// The engine partitions devices into contiguous lanes. Lane windows
+	// run in parallel only when every shared sink is off — observation,
 	// tracing, attribution, and recording all emit from inside the
 	// per-device window, so any of them forces the inline sequential
-	// drain (still lane-count invariant).
-	split := shard.Split(schedulable, opts.Shards)
-	workers := len(split)
-	if g := runtime.GOMAXPROCS(0); workers > g {
-		workers = g
-	}
+	// path (still lane-count invariant).
+	workers := runtime.GOMAXPROCS(0)
 	if opts.Obs != nil || opts.Trace != nil || opts.Attr != nil || opts.Record != nil {
 		workers = 1
 	}
-	sh, err := shard.New(len(split), workers)
+	sh, err := shard.New(schedulable, opts.Shards, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -543,7 +540,6 @@ func New(opts Options) (*Sim, error) {
 	if opts.MIGSlices > 1 {
 		memMB = gpu.A100MemoryMB / float64(opts.MIGSlices)
 	}
-	laneIdx := 0
 	for i := 0; i < schedulable; i++ {
 		info := opts.Services[i%len(opts.Services)]
 		devID := fmt.Sprintf("gpu%04d", i/opts.MIGSlices)
@@ -613,10 +609,6 @@ func New(opts Options) (*Sim, error) {
 				break
 			}
 		}
-		for i >= split[laneIdx][1] {
-			laneIdx++
-		}
-		ds.lane = laneIdx
 		s.devices = append(s.devices, ds)
 		s.meas[devID] = &deviceMeasurer{oracle: opts.Oracle, dev: ds, rng: rng.ForkString("meas:" + devID), sim: s}
 	}

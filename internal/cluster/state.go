@@ -92,13 +92,12 @@ type deviceState struct {
 	// view() keeps allocating because policies retain its slices.
 	taskScratch []model.TrainingTask
 
-	// Lane fields. gidx is the global device index and lane its owning
-	// shard; winRNG is the per-device measurement-noise stream (a shared
+	// Lane fields. gidx is the global device index (lanes are ranges of
+	// it); winRNG is the per-device measurement-noise stream (a shared
 	// cluster stream would couple devices across lanes); memFrac is the
 	// last window's memory utilization, published for the barrier's
 	// device-order cluster sums.
 	gidx    int
-	lane    int
 	winRNG  *xrand.Rand
 	memFrac float64
 

@@ -207,7 +207,7 @@ type tlProfiler struct {
 	merge   *timeline.Series
 	apply   *timeline.Series
 	mail    *timeline.Series
-	imb     *timeline.Series
+	global  *timeline.Series
 	heap    *timeline.Series
 	gc      *timeline.Series
 	samples []metrics.Sample
@@ -220,7 +220,7 @@ func newTLProfiler(st *timeline.Store) *tlProfiler {
 		merge:  st.Series(timeline.EngineMergeMs, ""),
 		apply:  st.Series(timeline.EngineApplyMs, ""),
 		mail:   st.Series(timeline.EngineMail, ""),
-		imb:    st.Series(timeline.EngineLaneImbalance, ""),
+		global: st.Series(timeline.EngineGlobalMs, ""),
 		heap:   st.Series(timeline.EngineHeapBytes, ""),
 		gc:     st.Series(timeline.EngineGCCycles, ""),
 		samples: []metrics.Sample{
@@ -231,26 +231,13 @@ func newTLProfiler(st *timeline.Store) *tlProfiler {
 }
 
 // Barrier implements shard.Profiler.
-func (p *tlProfiler) Barrier(at float64, drain, merge, apply time.Duration, mail int, laneEvents []int) {
+func (p *tlProfiler) Barrier(at float64, drain, merge, apply, global time.Duration, mail int) {
 	p.window.Add(at, float64(drain+merge+apply)/float64(time.Millisecond))
 	p.drain.Add(at, float64(drain)/float64(time.Millisecond))
 	p.merge.Add(at, float64(merge)/float64(time.Millisecond))
 	p.apply.Add(at, float64(apply)/float64(time.Millisecond))
+	p.global.Add(at, float64(global)/float64(time.Millisecond))
 	p.mail.Add(at, float64(mail))
-	imb := 0
-	if len(laneEvents) > 1 {
-		lo, hi := laneEvents[0], laneEvents[0]
-		for _, n := range laneEvents[1:] {
-			if n < lo {
-				lo = n
-			}
-			if n > hi {
-				hi = n
-			}
-		}
-		imb = hi - lo
-	}
-	p.imb.Add(at, float64(imb))
 	metrics.Read(p.samples)
 	if p.samples[0].Value.Kind() == metrics.KindUint64 {
 		p.heap.Add(at, float64(p.samples[0].Value.Uint64()))

@@ -1,7 +1,7 @@
-// Package eventq is the discrete-event simulation engine: a calendar
-// queue over virtual seconds. The cluster simulator schedules workload
-// arrivals, control-loop ticks, and completions as events; Run drains
-// them in (time, sequence) order so simulations are deterministic.
+// Package eventq is a discrete-event calendar over virtual seconds.
+// The shard engine keeps the cluster's control-plane one-shots on it —
+// workload arrivals and fault windows — and Run drains them in (time,
+// sequence) order so simulations are deterministic.
 package eventq
 
 import (
@@ -17,10 +17,9 @@ type event struct {
 	at  float64
 	seq uint64 // tie-break: FIFO among equal timestamps
 	fn  Handler
-	idx int // heap position; -1 once fired or cancelled
 }
 
-type eventHeap []*event
+type eventHeap []event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -29,23 +28,14 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
-	old[n-1] = nil
+	old[n-1] = event{} // release the closure
 	*h = old[:n-1]
-	e.idx = -1
 	return e
 }
 
@@ -64,42 +54,18 @@ func New() *Sim { return &Sim{} }
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// Timer identifies a scheduled event for cancellation.
-type Timer struct{ e *event }
-
 // At schedules fn at absolute time t. Scheduling in the past is an
 // error (events must not violate causality).
-func (s *Sim) At(t float64, fn Handler) (Timer, error) {
+func (s *Sim) At(t float64, fn Handler) error {
 	if fn == nil {
-		return Timer{}, errors.New("eventq: nil handler")
+		return errors.New("eventq: nil handler")
 	}
 	if t < s.now {
-		return Timer{}, fmt.Errorf("eventq: schedule at %v before now %v", t, s.now)
+		return fmt.Errorf("eventq: schedule at %v before now %v", t, s.now)
 	}
-	e := &event{at: t, seq: s.seq, fn: fn}
+	heap.Push(&s.heap, event{at: t, seq: s.seq, fn: fn})
 	s.seq++
-	heap.Push(&s.heap, e)
-	return Timer{e: e}, nil
-}
-
-// After schedules fn delay seconds from now.
-func (s *Sim) After(delay float64, fn Handler) (Timer, error) {
-	if delay < 0 {
-		return Timer{}, fmt.Errorf("eventq: negative delay %v", delay)
-	}
-	return s.At(s.now+delay, fn)
-}
-
-// Cancel prevents a scheduled event from firing. The event is removed
-// from the calendar immediately — O(log n) — and its handler closure
-// released, so cancelled events never pin memory until their fire
-// time. Cancelling a fired or already-cancelled timer is a no-op.
-func (s *Sim) Cancel(t Timer) {
-	if t.e == nil || t.e.idx < 0 {
-		return
-	}
-	heap.Remove(&s.heap, t.e.idx)
-	t.e.fn = nil
+	return nil
 }
 
 // Stop halts Run after the current event returns.
@@ -112,15 +78,12 @@ func (s *Sim) Run(horizon float64) int {
 	s.stopped = false
 	executed := 0
 	for len(s.heap) > 0 && !s.stopped {
-		e := s.heap[0]
-		if e.at > horizon {
+		if s.heap[0].at > horizon {
 			break
 		}
-		heap.Pop(&s.heap)
+		e := heap.Pop(&s.heap).(event)
 		s.now = e.at
-		fn := e.fn
-		e.fn = nil // release the closure before the handler reschedules
-		fn(s.now)
+		e.fn(s.now)
 		executed++
 	}
 	// Advance the clock to the horizon even if the calendar drained
@@ -133,8 +96,8 @@ func (s *Sim) Run(horizon float64) int {
 
 // AdvanceTo moves the clock forward to t without firing anything. It
 // is a no-op if t <= now. The caller must ensure no pending event is
-// earlier than t (the shard engine advances to the earliest global
-// event time, which satisfies this by construction); otherwise a later
+// earlier than t (the shard engine advances to the earliest pending
+// barrier, which satisfies this by construction); otherwise a later
 // Run would move the clock backwards when it fires the skipped event.
 func (s *Sim) AdvanceTo(t float64) {
 	if t > s.now {
@@ -142,11 +105,7 @@ func (s *Sim) AdvanceTo(t float64) {
 	}
 }
 
-// Pending returns the number of scheduled events. Cancelled events are
-// removed eagerly, so this is simply the heap length — O(1).
-func (s *Sim) Pending() int { return len(s.heap) }
-
-// Len is Pending under the name the shard engine uses.
+// Len returns the number of scheduled events.
 func (s *Sim) Len() int { return len(s.heap) }
 
 // NextAt returns the timestamp of the earliest pending event, or false
@@ -156,43 +115,4 @@ func (s *Sim) NextAt() (float64, bool) {
 		return 0, false
 	}
 	return s.heap[0].at, true
-}
-
-// EveryUntil schedules fn at now+period, then every period seconds,
-// until the simulation stops or the returned stop function is called.
-// Stopping cancels the in-flight timer, so the calendar holds no
-// residue from a stopped ticker.
-func (s *Sim) EveryUntil(period float64, fn Handler) (stop func(), err error) {
-	if period <= 0 {
-		return nil, fmt.Errorf("eventq: non-positive period %v", period)
-	}
-	stopped := false
-	var pending Timer
-	var schedule func(now float64)
-	schedule = func(now float64) {
-		if stopped {
-			return
-		}
-		fn(now)
-		if stopped {
-			return
-		}
-		t, err := s.After(period, schedule)
-		if err != nil {
-			// Unreachable: After with positive delay cannot fail.
-			panic(err)
-		}
-		pending = t
-	}
-	pending, err = s.After(period, schedule)
-	if err != nil {
-		return nil, err
-	}
-	return func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		s.Cancel(pending)
-	}, nil
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 )
 
@@ -32,6 +33,19 @@ func TestValidateRejectsBadRanges(t *testing.T) {
 		{SpinUpFailRate: 1.5},
 		{PCIeDegradeFactor: 0.5},
 		{PCIeDegradeFactor: 4, PCIeMTBFSec: -1},
+		// Non-finite values slip past every ordered comparison.
+		{DeviceMTBFSec: math.NaN()},
+		{DeviceMTBFSec: math.Inf(1)},
+		{DeviceMTBFSec: 600, DeviceMTTRSec: math.NaN()},
+		{MeasureErrRate: math.NaN()},
+		{MeasureErrRate: math.Inf(-1)},
+		{MeasureErrRate: 0.1, MeasureBackoffMs: math.Inf(1)},
+		{MeasureErrRate: 0.1, MeasureBackoffCapMs: math.NaN()},
+		{SpinUpFailRate: math.NaN()},
+		{PCIeDegradeFactor: math.NaN()},
+		{PCIeDegradeFactor: math.Inf(1)},
+		{PCIeDegradeFactor: 2, PCIeMTBFSec: math.Inf(1)},
+		{PCIeDegradeFactor: 2, PCIeMTTRSec: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -2,7 +2,10 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"testing"
+
+	"mudi/internal/eventq"
 )
 
 func TestSplit(t *testing.T) {
@@ -41,58 +44,45 @@ func TestDefault(t *testing.T) {
 	}
 }
 
-// owner returns the lane owning global device d under the given split.
-func owner(split [][2]int, d int) int {
-	for i, r := range split {
-		if d >= r[0] && d < r[1] {
-			return i
-		}
-	}
-	panic("unowned device")
-}
-
-// buildToy wires a toy cluster onto an engine: each of n devices ticks
-// every second on its owner lane, bumping a lane-local counter and
-// posting a mailbox message that appends to the shared log; the global
-// calendar runs a barrier ticker plus two "arrival" one-shots that
-// also append. The log is the observable whose byte-identity across
-// lane/worker counts is the engine's whole contract.
-func buildToy(t *testing.T, n, lanes, workers int) (*Engine, *[]string) {
+// buildToy wires a toy cluster onto an engine over n devices: each
+// device's window bumps a lane-local counter and posts a mailbox
+// message that appends to the shared log; the global calendar holds
+// two "arrival" one-shots that also append, and the tick logs the
+// barrier. The returned run function drives the engine with period 1.
+// The log is the observable whose byte-identity across lane/worker
+// counts is the engine's whole contract.
+func buildToy(t *testing.T, n, lanes, workers int) (run func(horizon float64), log *[]string) {
 	t.Helper()
-	e, err := New(lanes, workers)
+	e, err := New(n, lanes, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := &[]string{}
-	split := Split(n, lanes)
+	log = &[]string{}
 	counters := make([]int, n)
-	for d := 0; d < n; d++ {
-		d := d
-		lane := e.Lane(owner(split, d))
-		if _, err := lane.Sim.EveryUntil(1, func(now float64) {
-			counters[d]++ // lane-local state: safe under parallel drain
+	window := func(l *Lane, now float64) {
+		start, end := l.Devices()
+		for d := start; d < end; d++ {
+			d := d
+			counters[d]++ // lane-local state: safe under parallel windows
 			v := counters[d]
-			lane.Post(now, d, func(at float64) {
+			l.Post(now, d, func(at float64) {
 				*log = append(*log, fmt.Sprintf("tick d%d c%d @%g", d, v, at))
 			})
-		}); err != nil {
-			t.Fatal(err)
 		}
 	}
-	if _, err := e.Global().EveryUntil(1, func(now float64) {
-		*log = append(*log, fmt.Sprintf("barrier @%g", now))
-	}); err != nil {
-		t.Fatal(err)
-	}
+	tick := func(now float64) { *log = append(*log, fmt.Sprintf("barrier @%g", now)) }
 	for _, at := range []float64{1.5, 3} {
-		at := at
-		if _, err := e.Global().At(at, func(now float64) {
+		if err := e.Global().At(at, func(now float64) {
 			*log = append(*log, fmt.Sprintf("arrival @%g", now))
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return e, log
+	return func(horizon float64) {
+		if err := e.Run(horizon, 1, window, tick); err != nil {
+			t.Fatal(err)
+		}
+	}, log
 }
 
 // TestLaneCountInvariance is the engine-level determinism golden: the
@@ -101,8 +91,8 @@ func buildToy(t *testing.T, n, lanes, workers int) (*Engine, *[]string) {
 func TestLaneCountInvariance(t *testing.T) {
 	const n, horizon = 8, 5.0
 	run := func(lanes, workers int) []string {
-		e, log := buildToy(t, n, lanes, workers)
-		e.Run(horizon)
+		r, log := buildToy(t, n, lanes, workers)
+		r(horizon)
 		return *log
 	}
 	want := run(1, 1)
@@ -122,136 +112,245 @@ func TestLaneCountInvariance(t *testing.T) {
 	}
 }
 
+// noTick is a tick callback for tests that do not observe it.
+func noTick(float64) {}
+
 // TestMailboxOrdering: messages at one barrier apply in (At, Dev,
 // emission) order regardless of which lane posted them or in what
-// drain order.
+// order.
 func TestMailboxOrdering(t *testing.T) {
-	e, err := New(2, 1)
+	e, err := New(4, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	post := func(lane *Lane, at float64, dev int, tag string) {
-		lane.Post(at, dev, func(float64) { got = append(got, tag) })
+	window := func(l *Lane, now float64) {
+		post := func(at float64, dev int, tag string) {
+			l.Post(at, dev, func(float64) { got = append(got, tag) })
+		}
+		if start, _ := l.Devices(); start == 0 {
+			post(now, 1, "d1#0") // higher device posted first: Dev wins
+			post(now, 0, "d0#0")
+			post(now, 0, "d0#1") // same dev: emission order
+			return
+		}
+		post(now, 3, "d3#0")
+		post(now, 2, "d2#0")
+		post(0.5, 2, "d2@earlier") // earlier At sorts first
 	}
-	// Lane 1 (higher devices) fires first on its calendar; lane 0
-	// posts later in wall order. Dev order must still win.
-	e.Lane(1).Sim.At(1, func(now float64) {
-		post(e.Lane(1), now, 3, "d3#0")
-		post(e.Lane(1), now, 2, "d2#0")
-		post(e.Lane(1), 0.5, 2, "d2@earlier") // earlier At sorts first
-	})
-	e.Lane(0).Sim.At(1, func(now float64) {
-		post(e.Lane(0), now, 0, "d0#0")
-		post(e.Lane(0), now, 0, "d0#1") // same dev: emission order
-		post(e.Lane(0), now, 1, "d1#0")
-	})
-	e.Global().At(1, func(float64) {})
-	e.Run(2)
+	if err := e.Run(1, 1, window, noTick); err != nil {
+		t.Fatal(err)
+	}
 	want := []string{"d2@earlier", "d0#0", "d0#1", "d1#0", "d2#0", "d3#0"}
-	if len(got) != len(want) {
+	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("applied %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("applied %v, want %v", got, want)
-		}
-	}
 }
 
-// TestBarrierPhaseOrder: at one barrier time, lane events run first,
-// then mailbox messages, then global events.
+// TestBarrierPhaseOrder: at a window time that also has a global
+// event, the lane window runs first, then the mail it posted, then the
+// global event, then the tick. At a barrier between windows (a global
+// event at 5.5) no lane work and no tick runs — only mail (here, mail
+// posted by mail at 5) and the global event.
 func TestBarrierPhaseOrder(t *testing.T) {
-	e, err := New(1, 1)
+	e, err := New(1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	e.Lane(0).Sim.At(5, func(now float64) {
-		got = append(got, "lane")
-		e.Lane(0).Post(now, 0, func(float64) { got = append(got, "mail") })
-	})
-	e.Global().At(5, func(float64) { got = append(got, "global") })
-	e.Run(10)
-	want := []string{"lane", "mail", "global"}
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("phase order %v, want %v", got, want)
+	window := func(l *Lane, now float64) {
+		got = append(got, fmt.Sprintf("lane@%g", now))
+		if now != 5 {
+			return
 		}
+		l.Post(now, 0, func(at float64) {
+			got = append(got, fmt.Sprintf("mail@%g", at))
+			l.Post(at, 0, func(at float64) { got = append(got, fmt.Sprintf("mail@%g", at)) })
+		})
+	}
+	tick := func(now float64) { got = append(got, fmt.Sprintf("tick@%g", now)) }
+	for _, at := range []float64{5, 5.5} {
+		if err := e.Global().At(at, func(now float64) { got = append(got, fmt.Sprintf("global@%g", now)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Run(5.5, 5, window, tick); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"lane@5", "mail@5", "global@5", "tick@5", "mail@5.5", "global@5.5"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("phase order %v, want %v", got, want)
 	}
 }
 
-// TestStopAndResume: Stop from a global handler halts the run at that
-// barrier with clocks aligned; a further Run resumes.
-func TestStopAndResume(t *testing.T) {
-	e, err := New(2, 1)
+// TestWindowTimesRepeatedAddition: window times are the running sum
+// period, period+period, … — the float sequence of a self-rescheduling
+// ticker on an eventq calendar — so a horizon cuts the run at exactly
+// the same window. 0.1 summed 1000 times falls just short of 100, so
+// the 1000th window fires under horizon 100 and the 1001st does not.
+func TestWindowTimesRepeatedAddition(t *testing.T) {
+	const period, horizon = 0.1, 100.0
+	var want []float64
+	ref := eventq.New()
+	var tickRef eventq.Handler
+	tickRef = func(now float64) {
+		want = append(want, now)
+		if err := ref.At(now+period, tickRef); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ref.At(period, tickRef); err != nil {
+		t.Fatal(err)
+	}
+	ref.Run(horizon)
+	if len(want) != 1000 {
+		t.Fatalf("reference ticker fired %d times, want 1000", len(want))
+	}
+	sum := 0.0
+	for i, w := range want {
+		sum += period
+		if w != sum {
+			t.Fatalf("reference window %d at %v, want running sum %v", i, w, sum)
+		}
+	}
+
+	e, err := New(3, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticks := 0
-	for i := 0; i < 2; i++ {
-		e.Lane(i).Sim.EveryUntil(1, func(float64) { ticks++ })
+	var windows, ticks []float64
+	window := func(l *Lane, now float64) {
+		if start, _ := l.Devices(); start == 0 {
+			windows = append(windows, now)
+		}
 	}
-	e.Global().At(3, func(float64) { e.Stop() })
-	e.Run(10)
-	if ticks != 6 { // 2 lanes × ticks at 1, 2, 3
-		t.Fatalf("ticks at stop %d, want 6", ticks)
+	if err := e.Run(horizon, period, window, func(now float64) { ticks = append(ticks, now) }); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]float64{"window": windows, "tick": ticks} {
+		if len(got) != len(want) {
+			t.Fatalf("%d %s calls, want %d", len(got), name, len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s %d at %v, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	if e.Now() != horizon {
+		t.Fatalf("clock %v, want horizon %v", e.Now(), horizon)
+	}
+}
+
+// TestStopAndResume: Stop from a global event halts the run at that
+// barrier with the clock aligned, after that window's lane work but
+// before its tick; a further Run finishes the barrier (the tick) and
+// resumes the window clock. Stop from the tick halts after it.
+func TestStopAndResume(t *testing.T) {
+	e, err := New(2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := 0
+	var ticks []float64
+	window := func(*Lane, float64) { windows++ }
+	tick := func(now float64) {
+		ticks = append(ticks, now)
+		if now == 4 {
+			e.Stop()
+		}
+	}
+	run := func(horizon float64) {
+		if err := e.Run(horizon, 1, window, tick); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Global().At(3, func(float64) { e.Stop() }); err != nil {
+		t.Fatal(err)
+	}
+	run(10)
+	if windows != 6 { // 2 lanes × windows at 1, 2, 3
+		t.Fatalf("windows at stop %d, want 6", windows)
+	}
+	if fmt.Sprint(ticks) != "[1 2]" {
+		t.Fatalf("ticks at stop %v, want [1 2]", ticks)
 	}
 	if e.Now() != 3 {
-		t.Fatalf("global clock %v, want 3", e.Now())
+		t.Fatalf("clock %v, want 3", e.Now())
 	}
-	e.Run(5)
-	if ticks != 10 { // + 2 lanes × ticks at 4, 5
-		t.Fatalf("ticks after resume %d, want 10", ticks)
+	run(10) // the tick at 3, the window at 4, then the tick's Stop
+	if windows != 8 || fmt.Sprint(ticks) != "[1 2 3 4]" {
+		t.Fatalf("after first resume: windows %d, ticks %v; want 8, [1 2 3 4]", windows, ticks)
 	}
-	if e.Now() != 5 {
-		t.Fatalf("global clock %v, want 5", e.Now())
+	if e.Now() != 4 {
+		t.Fatalf("clock %v, want 4", e.Now())
+	}
+	run(6)
+	if windows != 12 || fmt.Sprint(ticks) != "[1 2 3 4 5 6]" {
+		t.Fatalf("after second resume: windows %d, ticks %v; want 12, [1 2 3 4 5 6]", windows, ticks)
+	}
+	if e.Now() != 6 {
+		t.Fatalf("clock %v, want 6", e.Now())
 	}
 }
 
-// TestClocksAligned: after a horizon run, the global and every lane
-// clock sit exactly at the horizon even when calendars drained early.
+// TestClocksAligned: after a horizon run the clock sits exactly at the
+// horizon, even when the horizon falls between windows and the global
+// calendar drained early.
 func TestClocksAligned(t *testing.T) {
-	e, err := New(3, 1)
+	e, err := New(3, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Lane(1).Sim.At(2, func(float64) {})
-	e.Global().At(1, func(float64) {})
-	e.Run(7)
-	if e.Now() != 7 {
-		t.Fatalf("global clock %v, want 7", e.Now())
+	if err := e.Global().At(1, func(float64) {}); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < e.Lanes(); i++ {
-		if now := e.Lane(i).Sim.Now(); now != 7 {
-			t.Fatalf("lane %d clock %v, want 7", i, now)
-		}
+	if err := e.Run(7, 2, func(*Lane, float64) {}, noTick); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 7 {
+		t.Fatalf("clock %v, want 7", e.Now())
 	}
 }
 
 // TestMailFromMail: a message whose Fn posts another message sees that
 // second message applied at the next barrier, not recursively.
 func TestMailFromMail(t *testing.T) {
-	e, err := New(1, 1)
+	e, err := New(1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	e.Lane(0).Sim.At(1, func(now float64) {
-		e.Lane(0).Post(now, 0, func(at float64) {
+	window := func(l *Lane, now float64) {
+		if now != 1 {
+			return
+		}
+		l.Post(now, 0, func(at float64) {
 			got = append(got, fmt.Sprintf("first@%g", at))
-			e.Lane(0).Post(at, 0, func(at2 float64) {
+			l.Post(at, 0, func(at2 float64) {
 				got = append(got, fmt.Sprintf("second@%g", at2))
 			})
 		})
-	})
-	e.Global().At(1, func(float64) {})
-	e.Global().At(2, func(float64) {})
-	e.Run(3)
+	}
+	if err := e.Run(3, 1, window, noTick); err != nil {
+		t.Fatal(err)
+	}
 	want := []string{"first@1", "second@2"}
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("applied %v, want %v", got, want)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("applied %v, want %v", got, want)
+	}
+}
+
+// TestRunRejectsBadPeriod: a window period that is not positive (NaN
+// included) is an error, not a spin.
+func TestRunRejectsBadPeriod(t *testing.T) {
+	e, err := New(1, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []float64{0, -1, math.NaN()} {
+		if err := e.Run(10, p, func(*Lane, float64) {}, noTick); err == nil {
+			t.Fatalf("period %v accepted", p)
 		}
 	}
 }

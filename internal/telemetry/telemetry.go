@@ -219,9 +219,10 @@ func serveTimeline(w http.ResponseWriter, r *http.Request, st *timeline.Store) {
 // serveWatch streams timeline samples as server-sent events: one
 // `id: <seq>` + `data: <sample JSON>` event per recorded sample, in
 // store order, polled at the configured cadence. ?after=<seq> resumes
-// past a known sequence number (the SSE Last-Event-ID pattern); the
-// backlog is bounded by the store's Recent ring, so long-disconnected
-// watchers skip ahead rather than blocking the simulation.
+// past a known sequence number (the SSE Last-Event-ID pattern), which
+// must not exceed the store's latest; the backlog is bounded by the
+// store's Recent ring, so long-disconnected watchers skip ahead rather
+// than blocking the simulation.
 func serveWatch(w http.ResponseWriter, r *http.Request, st *timeline.Store, poll time.Duration) {
 	if st == nil {
 		http.Error(w, "timeline recording disabled", http.StatusNotFound)
@@ -237,16 +238,26 @@ func serveWatch(w http.ResponseWriter, r *http.Request, st *timeline.Store, poll
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
+	// A resume point past the store's latest sequence would stall the
+	// stream until the store caught up — possibly never, e.g. after a
+	// restarted run. An explicit ?after is refused; a stale
+	// Last-Event-ID (the browser's automatic reconnect) is ignored and
+	// the stream replays from the Recent ring.
 	var after uint64
+	latest := st.Seq()
 	if s := r.URL.Query().Get("after"); s != "" {
 		v, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
 			http.Error(w, "bad after: "+err.Error(), http.StatusBadRequest)
 			return
 		}
+		if v > latest {
+			http.Error(w, fmt.Sprintf("bad after: %d is past the latest sequence %d", v, latest), http.StatusBadRequest)
+			return
+		}
 		after = v
 	} else if s := r.Header.Get("Last-Event-ID"); s != "" {
-		if v, err := strconv.ParseUint(s, 10, 64); err == nil {
+		if v, err := strconv.ParseUint(s, 10, 64); err == nil && v <= latest {
 			after = v
 		}
 	}

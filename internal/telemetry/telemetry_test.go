@@ -287,6 +287,58 @@ func TestTimelineInputBounds(t *testing.T) {
 	}
 }
 
+// TestWatchResumeBounds: a resume point past the store's latest
+// sequence must not stall the stream. ?after above Seq() is a 400; a
+// stale Last-Event-ID is ignored and the stream replays the Recent
+// ring, exactly as a fresh subscription would.
+func TestWatchResumeBounds(t *testing.T) {
+	st := tlStore(t)
+	latest := st.Seq()
+	watch := func(path, lastID string) *httptest.ResponseRecorder {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		req := httptest.NewRequest("GET", path, nil).WithContext(ctx)
+		if lastID != "" {
+			req.Header.Set("Last-Event-ID", lastID)
+		}
+		rec := httptest.NewRecorder()
+		Handler(Options{Timeline: st, WatchPollInterval: 5 * time.Millisecond}).ServeHTTP(rec, req)
+		return rec
+	}
+	seq := func(v uint64) string { return strconv.FormatUint(v, 10) }
+	for _, tc := range []struct {
+		name, after string
+		want        int
+	}{
+		{"after-latest", seq(latest), 200},
+		{"after-past-latest", seq(latest + 1), 400},
+		{"after-max-uint64", "18446744073709551615", 400},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if rec := watch("/watch?after="+tc.after, ""); rec.Code != tc.want {
+				t.Fatalf("status %d, want %d: %s", rec.Code, tc.want, rec.Body.String())
+			}
+		})
+	}
+	if body := watch("/watch?after="+seq(latest), "").Body.String(); strings.Contains(body, "data: ") {
+		t.Fatalf("resume at the latest sequence replayed events:\n%s", body)
+	}
+	fresh := watch("/watch", "").Body.String()
+	if !strings.Contains(fresh, "data: ") {
+		t.Fatalf("fresh subscription replayed nothing:\n%s", fresh)
+	}
+	for _, stale := range []string{seq(latest + 1), "18446744073709551615"} {
+		rec := watch("/watch", stale)
+		if rec.Code != 200 || rec.Body.String() != fresh {
+			t.Fatalf("Last-Event-ID %s: status %d, body differs from a fresh replay:\n%s", stale, rec.Code, rec.Body.String())
+		}
+	}
+	// A valid Last-Event-ID still resumes: only the last sample follows.
+	if body := watch("/watch", seq(latest-1)).Body.String(); strings.Count(body, "data: ") != 1 || !strings.Contains(body, "id: "+seq(latest)+"\n") {
+		t.Fatalf("Last-Event-ID %d did not resume at the tail:\n%s", latest-1, body)
+	}
+}
+
 // TestWatchSSE drives the live stream end to end over a real
 // connection: events arrive in seq order, carry incrementing SSE ids,
 // and samples recorded after the subscription turn up on a later poll.

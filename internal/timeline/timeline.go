@@ -87,18 +87,19 @@ const (
 	// All Profile() kinds are excluded from Fingerprint — wall-clock is
 	// inherently nondeterministic.
 	//
-	// EngineWindowMs is the engine's wall-clock per barrier, the sum of
-	// its phases: lane drain, mailbox merge+sort, and control-plane
-	// apply (EngineDrainMs / EngineMergeMs / EngineApplyMs). The
-	// remaining kinds are the mail volume, the drained-event imbalance
-	// between the busiest and laziest lane, and Go runtime heap/GC
-	// samples.
+	// EngineWindowMs is the engine's wall-clock per barrier for its
+	// lane-side phases: lane windows, mailbox merge+sort, and
+	// control-plane apply (EngineDrainMs / EngineMergeMs /
+	// EngineApplyMs). EngineGlobalMs is the global phase that follows:
+	// the arrivals and faults due at the barrier plus the per-window
+	// tick. The remaining kinds are the mail volume and Go runtime
+	// heap/GC samples.
 	EngineWindowMs
 	EngineDrainMs
 	EngineMergeMs
 	EngineApplyMs
 	EngineMail
-	EngineLaneImbalance
+	EngineGlobalMs
 	EngineHeapBytes
 	EngineGCCycles
 
@@ -107,28 +108,28 @@ const (
 
 // kindNames are the wire names, in Kind order.
 var kindNames = [kindCount]string{
-	KindUnknown:         "unknown",
-	ServiceQPS:          "service_qps",
-	ServiceAdmitted:     "service_admitted",
-	ServiceShed:         "service_shed",
-	ServiceP99:          "service_p99_ms",
-	ServiceViolation:    "service_violation",
-	ClassQPS:            "class_qps",
-	ClassShed:           "class_shed",
-	ClassViolation:      "class_violation",
-	FleetSMUtil:         "fleet_sm_util",
-	FleetMemUtil:        "fleet_mem_util",
-	FleetDownDevices:    "fleet_down_devices",
-	FleetQueueDepth:     "fleet_queue_depth",
-	FleetMemPressure:    "fleet_mem_pressure",
-	EngineWindowMs:      "engine_window_ms",
-	EngineDrainMs:       "engine_drain_ms",
-	EngineMergeMs:       "engine_merge_ms",
-	EngineApplyMs:       "engine_apply_ms",
-	EngineMail:          "engine_mail",
-	EngineLaneImbalance: "engine_lane_imbalance",
-	EngineHeapBytes:     "engine_heap_bytes",
-	EngineGCCycles:      "engine_gc_cycles",
+	KindUnknown:      "unknown",
+	ServiceQPS:       "service_qps",
+	ServiceAdmitted:  "service_admitted",
+	ServiceShed:      "service_shed",
+	ServiceP99:       "service_p99_ms",
+	ServiceViolation: "service_violation",
+	ClassQPS:         "class_qps",
+	ClassShed:        "class_shed",
+	ClassViolation:   "class_violation",
+	FleetSMUtil:      "fleet_sm_util",
+	FleetMemUtil:     "fleet_mem_util",
+	FleetDownDevices: "fleet_down_devices",
+	FleetQueueDepth:  "fleet_queue_depth",
+	FleetMemPressure: "fleet_mem_pressure",
+	EngineWindowMs:   "engine_window_ms",
+	EngineDrainMs:    "engine_drain_ms",
+	EngineMergeMs:    "engine_merge_ms",
+	EngineApplyMs:    "engine_apply_ms",
+	EngineMail:       "engine_mail",
+	EngineGlobalMs:   "engine_global_ms",
+	EngineHeapBytes:  "engine_heap_bytes",
+	EngineGCCycles:   "engine_gc_cycles",
 }
 
 // String returns the wire name.

@@ -265,11 +265,12 @@ type SimOptions struct {
 	// *OptionError.
 	ServiceClasses map[string]SLOClass
 	// Shards is the event engine's lane count: devices are split into
-	// that many contiguous lanes (clamped to the device count) that
-	// drain in parallel between control-plane barriers. 0 or a negative
-	// value picks min(GOMAXPROCS, devices/64), at least 1. The summary
-	// is byte-identical across every lane count and worker count, so
-	// Shards only changes how fast a run finishes.
+	// that many contiguous lanes (clamped to the device count) that run
+	// each control window in parallel, then meet at the control-plane
+	// barrier. 0 or a negative value picks min(GOMAXPROCS,
+	// devices/64), at least 1. The summary is byte-identical across
+	// every lane count and worker count, so Shards only changes how
+	// fast a run finishes.
 	Shards int
 	// AdmitFactor scales the per-service burst admission cap: windows
 	// whose demand exceeds AdmitFactor × nominal QPS shed the excess

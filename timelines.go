@@ -14,7 +14,7 @@ import (
 // taxonomy: per-service QPS/admitted/shed/P99/violation-rate, per-SLO-
 // class roll-ups, fleet utilization/outage/queue/memory-pressure
 // signals, and the engine's own wall-clock self-profile (per-phase
-// durations, barrier mail volume, lane imbalance, heap/GC). Recording
+// durations, barrier mail volume, heap/GC). Recording
 // is passive: Result.Summary() is bit-identical with and without it,
 // and the non-profile series are themselves byte-identical across lane
 // and worker counts (TimelineFingerprint pins this).
