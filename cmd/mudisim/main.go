@@ -124,21 +124,9 @@ func run(args []string, stdout io.Writer) (err error) {
 		return runLive(*seedFlag, *liveFlag, tracePath, *httpFlag, stdout)
 	}
 
-	var bursts []mudi.Burst
-	if *burstFlag != "" {
-		parts := strings.Split(*burstFlag, ":")
-		if len(parts) != 3 {
-			return fmt.Errorf("bad -burst %q, want start:end:factor", *burstFlag)
-		}
-		var vals [3]float64
-		for i, p := range parts {
-			v, err := strconv.ParseFloat(p, 64)
-			if err != nil {
-				return fmt.Errorf("bad -burst %q: %v", *burstFlag, err)
-			}
-			vals[i] = v
-		}
-		bursts = []mudi.Burst{{Start: vals[0], End: vals[1], Factor: vals[2]}}
+	bursts, err := parseBurst(*burstFlag)
+	if err != nil {
+		return err
 	}
 
 	faultCfg, err := parseFaults(*faultsFlag)
@@ -464,6 +452,27 @@ func runRepeats(n, parallel int, seed uint64, policy string, simulate func(uint6
 		stats.Mean(waits), stats.StdDev(waits),
 		stats.Mean(spans), stats.StdDev(spans))
 	return tab.WriteASCII(stdout)
+}
+
+// parseBurst builds the -burst window from start:end:factor; the empty
+// string means no burst. Range checks are left to SimOptions.Validate.
+func parseBurst(spec string) ([]mudi.Burst, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	parts := strings.Split(spec, ":")
+	if len(parts) != 3 {
+		return nil, fmt.Errorf("bad -burst %q, want start:end:factor", spec)
+	}
+	var vals [3]float64
+	for i, p := range parts {
+		v, err := strconv.ParseFloat(p, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad -burst %q: %v", spec, err)
+		}
+		vals[i] = v
+	}
+	return []mudi.Burst{{Start: vals[0], End: vals[1], Factor: vals[2]}}, nil
 }
 
 // parseFaults builds a fault-injection config from the -faults flag.

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"mudi"
 )
 
 func TestRunSingleSimulation(t *testing.T) {
@@ -134,10 +136,39 @@ func FuzzParseFaults(f *testing.F) {
 	})
 }
 
+// FuzzParseBurst: any -burst spec either fails to parse, fails
+// SimOptions.Validate, or yields a window whose every field is finite —
+// and neither step panics.
+func FuzzParseBurst(f *testing.F) {
+	for _, seed := range []string{
+		"", "30:60:2", "0:0:1", "NaN:NaN:3", "0:NaN:3", "nan:10:2",
+		"0:+Inf:2", "-Inf:5:2", "inf:inf:2", "10:5:2", "0:10:0", "0:10:NaN",
+		"1e309:1e309:2", "1:2", "1:2:3:4", "::", "0x10:0x20:2",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		bursts, err := parseBurst(spec)
+		if err != nil || (mudi.SimOptions{Bursts: bursts}).Validate() != nil {
+			return
+		}
+		for _, b := range bursts {
+			for _, x := range []float64{b.Start, b.End, b.Factor} {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("spec %q validated with burst %+v", spec, b)
+				}
+			}
+		}
+	})
+}
+
 func TestRunErrors(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-burst", "nope"}, &b); err == nil {
 		t.Fatal("bad burst accepted")
+	}
+	if err := run([]string{"-burst", "NaN:NaN:3", "-devices", "2", "-tasks", "2"}, &b); err == nil {
+		t.Fatal("non-finite burst window accepted")
 	}
 	if err := run([]string{"-faults", "mtbf=-1"}, &b); err == nil {
 		t.Fatal("invalid fault config accepted")

@@ -772,11 +772,11 @@ func serviceByName(services []model.InferenceService, name string) (model.Infere
 	return model.InferenceService{}, false
 }
 
+// deviceByID resolves a device ID in O(1) through meas, which New
+// builds with one entry per device.
 func (s *Sim) deviceByID(id string) *deviceState {
-	for _, d := range s.devices {
-		if d.dev.ID == id {
-			return d
-		}
+	if m, ok := s.meas[id]; ok {
+		return m.dev
 	}
 	return nil
 }

@@ -55,12 +55,12 @@ type Mudi struct {
 	slope     *slopePlugin
 	// seenColoc remembers (service, coloc-arch) pairs already profiled
 	// online to avoid repeated sampling.
-	seenColoc map[string]bool
-	// curves caches directly fitted latency curves by
-	// service|archKey|batch; Configure prefers an exact fit over the
-	// learner's generalization (§4.2: newly sampled co-locations are
-	// fitted and used directly while also updating the predictor).
-	curves map[string]piecewise.Func
+	seenColoc map[colocKey]bool
+	// curves caches directly fitted latency curves by (service, coloc
+	// arch, batch); Configure prefers an exact fit over the learner's
+	// generalization (§4.2: newly sampled co-locations are fitted and
+	// used directly while also updating the predictor).
+	curves map[curveKey]piecewise.Func
 	// Overhead bookkeeping for Fig. 18.
 	boIters []int
 	// evalHook, when set via SetEvalHook, is forwarded to every tuning
@@ -77,10 +77,10 @@ func NewMudi(pred *predictor.Predictor, cfg MudiConfig) *Mudi {
 		cfg:       cfg,
 		pred:      pred,
 		tun:       tuner.New(cfg.Tuner),
-		seenColoc: make(map[string]bool),
-		curves:    make(map[string]piecewise.Func),
+		seenColoc: make(map[colocKey]bool),
+		curves:    make(map[curveKey]piecewise.Func),
 	}
-	m.slope = &slopePlugin{mudi: m}
+	m.slope = &slopePlugin{mudi: m, memo: make(map[colocKey]*memoEntry)}
 	m.framework = sched.NewFramework(
 		&eligibilityPlugin{maxTrain: cfg.MaxTrainPerGPU, slope: m.slope},
 		m.slope,
@@ -95,9 +95,16 @@ func (m *Mudi) Name() string { return "mudi" }
 // evaluation harness).
 func (m *Mudi) Predictor() *predictor.Predictor { return m.pred }
 
+// colocKey identifies a service next to a cumulative training Ψ.
+type colocKey struct {
+	svc  string
+	arch model.Arch
+}
+
 // curveKey identifies one fitted-curve cache entry.
-func curveKey(svc string, arch model.Arch, batch int) string {
-	return fmt.Sprintf("%s|%v|%d", svc, arch, batch)
+type curveKey struct {
+	colocKey
+	batch int
 }
 
 // AddProfiles seeds the fitted-curve cache from offline profiles (the
@@ -107,8 +114,9 @@ func (m *Mudi) AddProfiles(profiles []profiler.Profile) {
 		if pr.Curve.Validate() != nil {
 			continue
 		}
-		m.curves[curveKey(pr.Service, pr.ColocArch(), pr.Batch)] = pr.Curve
-		m.seenColoc[pr.Service+"|"+archKey(pr.ColocArch())] = true
+		k := colocKey{pr.Service, pr.ColocArch()}
+		m.curves[curveKey{k, pr.Batch}] = pr.Curve
+		m.seenColoc[k] = true
 	}
 }
 
@@ -166,6 +174,52 @@ type slopePlugin struct {
 	mudi        *Mudi
 	currentTask model.TrainingTask
 	views       map[string]DeviceView
+	// memo holds the learner outputs per (service, cumulative Ψ), built
+	// at predictor version memoVersion: most devices of a fleet share
+	// one of a handful of keys, so a selection pays learner cost per key
+	// rather than per device. Any predictor write drops the memo.
+	memo        map[colocKey]*memoEntry
+	memoVersion uint64
+}
+
+// memoEntry is what Score needs from the predictor for one key: the
+// AvgSlope result and, when it succeeded, the curve at every batch
+// size (ok false where PredictCurve failed).
+type memoEntry struct {
+	slope    float64
+	slopeErr bool
+	curves   []piecewise.Func
+	ok       []bool
+}
+
+// predicted returns the memo entry for (svc, arch), evaluating the
+// predictor on a miss.
+func (p *slopePlugin) predicted(svc string, arch model.Arch) *memoEntry {
+	pred := p.mudi.pred
+	if v := pred.Version(); v != p.memoVersion {
+		clear(p.memo)
+		p.memoVersion = v
+	}
+	k := colocKey{svc, arch}
+	if e, ok := p.memo[k]; ok {
+		return e
+	}
+	e := &memoEntry{}
+	p.memo[k] = e
+	slope, err := pred.AvgSlope(svc, arch)
+	if err != nil {
+		e.slopeErr = true
+		return e
+	}
+	e.slope = slope
+	batches := model.BatchSizes()
+	e.curves = make([]piecewise.Func, len(batches))
+	e.ok = make([]bool, len(batches))
+	for i, b := range batches {
+		curve, err := pred.PredictCurve(svc, b, arch)
+		e.curves[i], e.ok[i] = curve, err == nil
+	}
+	return e
 }
 
 func (p *slopePlugin) Name() string { return "interference-slope" }
@@ -175,9 +229,8 @@ func (p *slopePlugin) Score(_ *sched.Job, dev sched.DeviceInfo) float64 {
 	if !ok {
 		return -1
 	}
-	arch := colocArch(view.ResidentTasks, p.currentTask)
-	slope, err := p.mudi.pred.AvgSlope(view.ServiceName, arch)
-	if err != nil {
+	e := p.predicted(view.ServiceName, colocArch(view.ResidentTasks, p.currentTask))
+	if e.slopeErr {
 		return -1
 	}
 	// A smaller slope both reduces SLO pressure and lets the service
@@ -187,16 +240,15 @@ func (p *slopePlugin) Score(_ *sched.Job, dev sched.DeviceInfo) float64 {
 	// averaged over the batch candidates.
 	var shareSum float64
 	batches := model.BatchSizes()
-	for _, b := range batches {
-		curve, err := p.mudi.pred.PredictCurve(view.ServiceName, b, arch)
-		if err != nil {
+	for i, b := range batches {
+		if !e.ok[i] {
 			continue
 		}
 		if view.QPS <= 0 || view.SLOms <= 0 {
 			continue
 		}
 		res, err := opt.MinPartition(opt.ScaleRequest{
-			QPS: view.QPS, Batch: b, SLO: view.SLOms, Latency: curve, MaxDelta: 0.9,
+			QPS: view.QPS, Batch: b, SLO: view.SLOms, Latency: e.curves[i], MaxDelta: 0.9,
 		})
 		if err != nil || !res.Feasible {
 			continue
@@ -205,7 +257,7 @@ func (p *slopePlugin) Score(_ *sched.Job, dev sched.DeviceInfo) float64 {
 	}
 	avgShare := shareSum / float64(len(batches))
 	// Higher score = better; slopes are positive magnitudes.
-	return (0.05 + avgShare) / (1 + slope)
+	return (0.05 + avgShare) / (1 + e.slope)
 }
 
 // SelectDevice implements Policy (§5.2): assign the task to the device
@@ -242,7 +294,7 @@ func (m *Mudi) Configure(view DeviceView, meas Measurer) (Decision, error) {
 	}
 	arch := colocArch(view.ResidentTasks)
 	curves := func(b int) piecewise.Func {
-		if c, ok := m.curves[curveKey(view.ServiceName, arch, b)]; ok {
+		if c, ok := m.curves[curveKey{colocKey{view.ServiceName, arch}, b}]; ok {
 			return c // exact fit for this co-location
 		}
 		c, err := m.pred.PredictCurve(view.ServiceName, b, arch)
@@ -320,7 +372,7 @@ func (m *Mudi) ObserveColocation(view DeviceView, meas Measurer) {
 		return
 	}
 	arch := colocArch(view.ResidentTasks)
-	key := view.ServiceName + "|" + archKey(arch)
+	key := colocKey{view.ServiceName, arch}
 	if m.seenColoc[key] {
 		return
 	}
@@ -338,7 +390,7 @@ func (m *Mudi) ObserveColocation(view DeviceView, meas Measurer) {
 		if err != nil {
 			continue
 		}
-		m.curves[curveKey(view.ServiceName, arch, b)] = curve
+		m.curves[curveKey{key, b}] = curve
 		prof := profiler.Profile{
 			Service: view.ServiceName,
 			Batch:   b,
@@ -350,14 +402,6 @@ func (m *Mudi) ObserveColocation(view DeviceView, meas Measurer) {
 			return
 		}
 	}
-}
-
-func archKey(a model.Arch) string {
-	s := ""
-	for _, n := range a {
-		s += fmt.Sprintf("%d,", n)
-	}
-	return s
 }
 
 // ShouldRetune forwards the Monitor's QPS-change trigger.

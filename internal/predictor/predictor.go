@@ -31,6 +31,8 @@ type svcPredictor struct {
 type Predictor struct {
 	seed     uint64
 	services map[string]*svcPredictor
+	// version counts writes to the learners; see Version.
+	version uint64
 }
 
 // New returns an empty predictor.
@@ -97,6 +99,7 @@ func (p *Predictor) add(profile profiler.Profile, refit bool) error {
 	if err := profile.Curve.Validate(); err != nil {
 		return fmt.Errorf("predictor: profile curve: %w", err)
 	}
+	p.version++
 	sp := p.svc(profile.Service)
 	arch := profile.ColocArch()
 	x := features(arch, profile.Batch)
@@ -113,6 +116,13 @@ func (p *Predictor) add(profile profiler.Profile, refit bool) error {
 	}
 	return nil
 }
+
+// Version identifies the learners' state: it moves on every profile
+// Train or Update ingests and on nothing else, so a caller may memoize
+// PredictCurve/AvgSlope results for as long as Version is unchanged.
+// The read path stays free of writes (parallel readers may share one
+// Predictor), which is why such memos live with the caller.
+func (p *Predictor) Version() uint64 { return p.version }
 
 // PredictCurve predicts the latency curve of svc at the given batch
 // when co-located with training tasks whose cumulative architecture is

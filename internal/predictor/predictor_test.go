@@ -264,3 +264,46 @@ func TestTrainFromPersistedProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestVersionMovesOnlyOnWrites(t *testing.T) {
+	pred, o := trainPredictor(t, 9, []string{"BERT"})
+	v := pred.Version()
+	if v == 0 {
+		t.Fatal("Train left the version at 0")
+	}
+	task, _ := model.TaskByName("YOLOv5")
+	for _, b := range model.BatchSizes() {
+		if _, err := pred.PredictCurve("BERT", b, task.Arch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := pred.AvgSlope("BERT", task.Arch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pred.MaxCutoff("BERT", task.Arch); err != nil {
+		t.Fatal(err)
+	}
+	pred.PredictCurve("GPT2", 64, task.Arch) // untrained: an error, still a read
+	if got := pred.Version(); got != v {
+		t.Fatalf("reads moved the version %d → %d", v, got)
+	}
+
+	prof := profiler.New(o, xrand.New(19))
+	pr, err := prof.ProfileOne("BERT", 64, []model.TrainingTask{task})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pred.Update(pr); err != nil {
+		t.Fatal(err)
+	}
+	if got := pred.Version(); got == v {
+		t.Fatal("Update did not move the version")
+	}
+	v = pred.Version()
+	if err := pred.Train([]profiler.Profile{pr}); err != nil {
+		t.Fatal(err)
+	}
+	if got := pred.Version(); got == v {
+		t.Fatal("Train did not move the version")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 )
@@ -130,6 +131,12 @@ func TestValidate(t *testing.T) {
 		{"trace-negative", SimOptions{TraceDeviceIdx: -1}, "TraceDeviceIdx"},
 		{"queue-unknown", SimOptions{Queue: "lifo"}, "Queue"},
 		{"burst-bad", SimOptions{Bursts: []Burst{{Start: 10, End: 5}}}, "Bursts"},
+		{"burst-nan", SimOptions{Bursts: []Burst{{Start: math.NaN(), End: math.NaN(), Factor: 3}}}, "Bursts"},
+		{"burst-start-nan", SimOptions{Bursts: []Burst{{Start: math.NaN(), End: 10, Factor: 3}}}, "Bursts"},
+		{"burst-end-nan", SimOptions{Bursts: []Burst{{Start: 0, End: math.NaN(), Factor: 3}}}, "Bursts"},
+		{"burst-end-inf", SimOptions{Bursts: []Burst{{Start: 0, End: math.Inf(1), Factor: 3}}}, "Bursts"},
+		{"burst-start-inf", SimOptions{Bursts: []Burst{{Start: math.Inf(1), End: math.Inf(1), Factor: 3}}}, "Bursts"},
+		{"burst-start-neg-inf", SimOptions{Bursts: []Burst{{Start: math.Inf(-1), End: 10, Factor: 3}}}, "Bursts"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

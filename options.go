@@ -176,10 +176,13 @@ func (o SimOptions) Validate() error {
 		return &OptionError{Field: "AdmitFactor", Value: o.AdmitFactor, Reason: "must be finite and >= 0 (0 selects the default burst headroom of 1.5)"}
 	}
 	for i, b := range o.Bursts {
-		if b.Start < 0 || b.End < b.Start {
+		// NaN fails every comparison, so the bounds alone would let a
+		// NaN window through; ±Inf never closes a window either.
+		if math.IsNaN(b.Start) || math.IsInf(b.Start, 0) || math.IsNaN(b.End) || math.IsInf(b.End, 0) ||
+			b.Start < 0 || b.End < b.Start {
 			return &OptionError{
 				Field: "Bursts", Value: i,
-				Reason: "burst must have Start >= 0 and End >= Start",
+				Reason: fmt.Sprintf("burst must have finite Start >= 0 and finite End >= Start, got [%v, %v]", b.Start, b.End),
 			}
 		}
 		if b.Factor <= 0 || math.IsNaN(b.Factor) || math.IsInf(b.Factor, 0) {
