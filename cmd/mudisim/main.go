@@ -134,18 +134,9 @@ func run(args []string, stdout io.Writer) (err error) {
 		return err
 	}
 
-	var classMix []mudi.SLOClass
-	if *classesFlag != "" {
-		for _, name := range strings.Split(*classesFlag, ",") {
-			c, cerr := mudi.ParseSLOClass(strings.TrimSpace(name))
-			if cerr != nil {
-				return fmt.Errorf("bad -classes: %w", cerr)
-			}
-			if c == mudi.SLOUnset {
-				return fmt.Errorf("bad -classes %q: empty class name", *classesFlag)
-			}
-			classMix = append(classMix, c)
-		}
+	classMix, err := parseClasses(*classesFlag)
+	if err != nil {
+		return err
 	}
 
 	// Replay source: a recorded trace-v2 file or a named scenario. The
@@ -473,6 +464,26 @@ func parseBurst(spec string) ([]mudi.Burst, error) {
 		vals[i] = v
 	}
 	return []mudi.Burst{{Start: vals[0], End: vals[1], Factor: vals[2]}}, nil
+}
+
+// parseClasses builds the -classes mix from comma-separated SLO class
+// names; the empty string means a classless run.
+func parseClasses(spec string) ([]mudi.SLOClass, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	var mix []mudi.SLOClass
+	for _, name := range strings.Split(spec, ",") {
+		c, err := mudi.ParseSLOClass(strings.TrimSpace(name))
+		if err != nil {
+			return nil, fmt.Errorf("bad -classes: %w", err)
+		}
+		if c == mudi.SLOUnset {
+			return nil, fmt.Errorf("bad -classes %q: empty class name", spec)
+		}
+		mix = append(mix, c)
+	}
+	return mix, nil
 }
 
 // parseFaults builds a fault-injection config from the -faults flag.

@@ -162,6 +162,39 @@ func FuzzParseBurst(f *testing.F) {
 	})
 }
 
+// FuzzParseClasses: any -classes spec either fails to parse, fails
+// SimOptions.Validate, or yields a non-empty mix of declared classes
+// whose names parse back to the same mix — and neither step panics.
+func FuzzParseClasses(f *testing.F) {
+	for _, seed := range []string{
+		"", "critical", "critical,standard,sheddable",
+		"batch, background", " critical ", "critical,,standard", ",",
+		"Critical", "unset", "critical,bogus", "\x00", "standard,",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		mix, err := parseClasses(spec)
+		if err != nil || (mudi.SimOptions{ClassMix: mix}).Validate() != nil {
+			return
+		}
+		if spec != "" && len(mix) == 0 {
+			t.Fatalf("spec %q validated with an empty mix", spec)
+		}
+		names := make([]string, len(mix))
+		for i, c := range mix {
+			if c == mudi.SLOUnset {
+				t.Fatalf("spec %q validated with an unset class at %d", spec, i)
+			}
+			names[i] = c.String()
+		}
+		back, err := parseClasses(strings.Join(names, ","))
+		if err != nil || !reflect.DeepEqual(back, mix) {
+			t.Fatalf("spec %q: mix %v re-parsed as %v (%v)", spec, mix, back, err)
+		}
+	})
+}
+
 func TestRunErrors(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-burst", "nope"}, &b); err == nil {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"mudi/internal/gpu"
 	"mudi/internal/memmgr"
 	"mudi/internal/obs"
 	"mudi/internal/shard"
@@ -49,9 +48,6 @@ func (s *Sim) Run() (*Result, error) {
 		if err := d.pool.Alloc(0, "svc", memmgr.PriorityInference, d.svc.info.MemoryMB(d.svc.batch)); err != nil {
 			return nil, err
 		}
-		if err := d.dev.Place(gpu.Resident{ID: "svc", Kind: gpu.KindInference, Share: d.svc.delta, MemoryMB: d.svc.info.MemoryMB(d.svc.batch)}); err != nil {
-			return nil, err
-		}
 		d.svc.deployed = true
 	}
 	g := s.sh.Global()
@@ -61,7 +57,7 @@ func (s *Sim) Run() (*Result, error) {
 	if s.inj != nil {
 		for _, d := range s.devices {
 			d := d
-			for _, w := range s.inj.DeviceWindows(d.dev.ID, s.opts.MaxHorizonSec) {
+			for _, w := range s.inj.DeviceWindows(d.id, s.opts.MaxHorizonSec) {
 				if err := g.At(w.Start, func(now float64) { s.failDevice(now, d) }); err != nil {
 					return nil, err
 				}
@@ -151,7 +147,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 					cc.shed.Add(shedQPS * w)
 				}
 				s.obsv.sink.Emit(obs.Event{
-					Time: now, Type: obs.EventLoadShed, Device: d.dev.ID,
+					Time: now, Type: obs.EventLoadShed, Device: d.id,
 					Service: svc.info.Name, Value: shedQPS, Cause: svc.info.Class.String(),
 				})
 			}
@@ -227,7 +223,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 					residents[ri] = ct.Name
 				}
 				s.attr.Observe(span.Sample{
-					Time: now, Device: d.dev.ID, Service: svc.info.Name,
+					Time: now, Device: d.id, Service: svc.info.Name,
 					LatencyMs: lat, BudgetMs: budget, QPS: qps,
 					BaseQPS:   svc.info.BaseQPS * s.opts.LoadFactor,
 					Residents: residents,
@@ -242,7 +238,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 					cc.violations.Inc()
 				}
 				s.obsv.sink.Emit(obs.Event{
-					Time: now, Type: obs.EventSLOViolation, Device: d.dev.ID,
+					Time: now, Type: obs.EventSLOViolation, Device: d.id,
 					Service: svc.info.Name, Value: lat, Cause: "window-budget",
 				})
 			}

@@ -11,7 +11,6 @@ import (
 
 	"mudi/internal/core"
 	"mudi/internal/faults"
-	"mudi/internal/gpu"
 	"mudi/internal/memmgr"
 	"mudi/internal/model"
 	"mudi/internal/obs"
@@ -538,7 +537,7 @@ func New(opts Options) (*Sim, error) {
 	s.sh = sh
 	memMB := float64(0)
 	if opts.MIGSlices > 1 {
-		memMB = gpu.A100MemoryMB / float64(opts.MIGSlices)
+		memMB = memmgr.A100MemoryMB / float64(opts.MIGSlices)
 	}
 	for i := 0; i < schedulable; i++ {
 		info := opts.Services[i%len(opts.Services)]
@@ -546,7 +545,6 @@ func New(opts Options) (*Sim, error) {
 		if opts.MIGSlices > 1 {
 			devID = fmt.Sprintf("gpu%04d/mig%d", i/opts.MIGSlices, i%opts.MIGSlices)
 		}
-		dev := gpu.NewDevice(devID, fmt.Sprintf("node%d", i/(4*opts.MIGSlices)), memMB)
 		var q trace.QPSTrace
 		if replayStreams != nil {
 			st := opts.Replay.Header.Streams[i]
@@ -575,7 +573,7 @@ func New(opts Options) (*Sim, error) {
 			q = opts.Record.Wrap(devID, info.Name, q)
 		}
 		ds := &deviceState{
-			dev:  dev,
+			id:   devID,
 			pool: memmgr.NewPool(memMB),
 			svc: &serviceState{
 				info:     info,
@@ -669,7 +667,7 @@ func (s *Sim) trySchedule(now float64) {
 		qj := s.jobs[job.ID]
 		views := s.viewsBuf[:0]
 		for _, d := range s.devices {
-			if d.down || qj.excluded[d.dev.ID] {
+			if d.down || qj.excluded[d.id] {
 				continue
 			}
 			views = append(views, d.view())
@@ -790,7 +788,7 @@ func (s *Sim) place(now float64, d *deviceState, qj *queueJob) {
 		itersDone: qj.progress,
 		submitAt:  qj.arrival.At,
 		startAt:   now,
-		deviceID:  d.dev.ID,
+		deviceID:  d.id,
 		allocID:   fmt.Sprintf("train-%d", qj.arrival.ID),
 	}
 	d.training = append(d.training, t)
@@ -798,7 +796,7 @@ func (s *Sim) place(now float64, d *deviceState, qj *queueJob) {
 	s.res.Admitted++
 	if s.tracer != nil && qj.migrateSpan != 0 {
 		// Close the eviction's migrate span: the task found a new home.
-		dst := d.dev.ID
+		dst := d.id
 		s.tracer.Annotate(qj.migrateSpan, func(sp *span.Span) {
 			sp.Task = sp.Task + ">" + dst
 		})
@@ -808,7 +806,7 @@ func (s *Sim) place(now float64, d *deviceState, qj *queueJob) {
 	if s.obsv != nil {
 		s.obsv.placements.Inc()
 		s.obsv.sink.Emit(obs.Event{
-			Time: now, Type: obs.EventTaskPlaced, Device: d.dev.ID,
+			Time: now, Type: obs.EventTaskPlaced, Device: d.id,
 			Service: d.svc.info.Name, Task: t.task.Name, Value: float64(t.id),
 		})
 	}
@@ -817,18 +815,11 @@ func (s *Sim) place(now float64, d *deviceState, qj *queueJob) {
 		// Should not happen (training can be partially resident).
 		t.paused = true
 	}
-	// Device bookkeeping for the trainer share happens via svc delta;
-	// the gpu.Device residents track the split for observability.
-	share := d.trainShare()
-	if share <= 0 {
-		share = 0.05
-	}
-	_ = d.dev.Place(gpu.Resident{ID: t.allocID, Kind: gpu.KindTraining, Share: minf(share, d.dev.ShareFree()), MemoryMB: t.task.MemoryMB()})
 
 	// Online learning first: Mudi profiles the new co-location so the
 	// immediate Configure below already uses the fitted curves.
 	if learner, ok := s.opts.Policy.(core.OnlineLearner); ok {
-		learner.ObserveColocation(d.view(), s.meas[d.dev.ID])
+		learner.ObserveColocation(d.view(), s.meas[d.id])
 	}
 	if err := s.configure(now, d, true, "placement"); err != nil {
 		t.paused = true
@@ -870,7 +861,7 @@ func (s *Sim) configure(now float64, d *deviceState, initial bool, cause string)
 	if s.obsv != nil {
 		s.obsv.retunes.Inc()
 		s.obsv.sink.Emit(obs.Event{
-			Time: now, Type: obs.EventRetune, Device: d.dev.ID,
+			Time: now, Type: obs.EventRetune, Device: d.id,
 			Service: d.svc.info.Name, Cause: cause,
 		})
 	}
@@ -881,12 +872,12 @@ func (s *Sim) configure(now float64, d *deviceState, initial bool, cause string)
 		// hook fires synchronously inside Configure, and Configure
 		// calls are serialized, so clearing it afterwards is safe).
 		retuneID = s.tracer.Start(span.Span{
-			Kind: span.KindRetune, Start: now, Device: d.dev.ID,
+			Kind: span.KindRetune, Start: now, Device: d.id,
 			Service: d.svc.info.Name, Task: taskSig(d),
 			Batch: d.svc.batch, Delta: d.svc.delta, Cause: cause,
 		})
 		if hooker, ok := s.opts.Policy.(evalHooker); ok {
-			devID, svcName := d.dev.ID, d.svc.info.Name
+			devID, svcName := d.id, d.svc.info.Name
 			hooker.SetEvalHook(func(batch int, delta, trainIterMs float64, feasible bool) {
 				sp := span.Span{
 					Kind: span.KindBOIter, Parent: retuneID, Start: now, End: now,
@@ -901,7 +892,7 @@ func (s *Sim) configure(now float64, d *deviceState, initial bool, cause string)
 			defer hooker.SetEvalHook(nil)
 		}
 	}
-	dec, err := s.opts.Policy.Configure(d.view(), s.meas[d.dev.ID])
+	dec, err := s.opts.Policy.Configure(d.view(), s.meas[d.id])
 	if s.tracer != nil {
 		s.tracer.Annotate(retuneID, func(sp *span.Span) {
 			if err != nil {
@@ -933,7 +924,7 @@ func (s *Sim) obsBatchChanged(now float64, d *deviceState, batch int) {
 	s.obsv.batchChg.Inc()
 	d.obsv.batch.Set(float64(batch))
 	s.obsv.sink.Emit(obs.Event{
-		Time: now, Type: obs.EventBatchChanged, Device: d.dev.ID,
+		Time: now, Type: obs.EventBatchChanged, Device: d.id,
 		Service: d.svc.info.Name, Value: float64(batch),
 	})
 }
@@ -947,13 +938,13 @@ func (s *Sim) obsRescaled(now float64, d *deviceState, delta float64, shadow boo
 	s.obsv.rescales.Inc()
 	d.obsv.delta.Set(delta)
 	s.obsv.sink.Emit(obs.Event{
-		Time: now, Type: obs.EventGPURescaled, Device: d.dev.ID,
+		Time: now, Type: obs.EventGPURescaled, Device: d.id,
 		Service: d.svc.info.Name, Value: delta,
 	})
 	if shadow {
 		s.obsv.shadow.Inc()
 		s.obsv.sink.Emit(obs.Event{
-			Time: now, Type: obs.EventShadowSwap, Device: d.dev.ID,
+			Time: now, Type: obs.EventShadowSwap, Device: d.id,
 			Service: d.svc.info.Name, Value: delta,
 		})
 	}
@@ -968,12 +959,12 @@ func (s *Sim) obsRescaled(now float64, d *deviceState, delta float64, shadow boo
 func (s *Sim) rescale(now float64, d *deviceState, newDelta float64, parent span.ID) {
 	svc := d.svc
 	oldDelta := svc.delta
-	if s.inj != nil && svc.deployed && s.inj.SpinUpFails(d.dev.ID) {
+	if s.inj != nil && svc.deployed && s.inj.SpinUpFails(d.id) {
 		s.res.FailedSpinUps++
 		if s.obsv != nil {
 			s.obsv.faults.failovers.Inc()
 			s.obsv.sink.Emit(obs.Event{
-				Time: now, Type: obs.EventFailover, Device: d.dev.ID,
+				Time: now, Type: obs.EventFailover, Device: d.id,
 				Service: svc.info.Name, Value: newDelta, Cause: "shadow-spinup-failed",
 			})
 		}
@@ -984,12 +975,12 @@ func (s *Sim) rescale(now float64, d *deviceState, newDelta float64, parent span
 			spinUp, _ := tuner.ShadowReconfig(oldDelta, newDelta)
 			rs := s.tracer.Add(span.Span{
 				Kind: span.KindRescale, Parent: parent, Start: now, End: now + spinUp,
-				Device: d.dev.ID, Service: svc.info.Name, Task: taskSig(d),
+				Device: d.id, Service: svc.info.Name, Task: taskSig(d),
 				Batch: svc.batch, Delta: newDelta - oldDelta, Cause: "shadow-spinup-failed",
 			})
 			s.tracer.Add(span.Span{
 				Kind: span.KindShadowSpinup, Parent: rs, Start: now, End: now + spinUp,
-				Device: d.dev.ID, Service: svc.info.Name, Cause: "shadow-spinup-failed",
+				Device: d.id, Service: svc.info.Name, Cause: "shadow-spinup-failed",
 			})
 		}
 		return
@@ -1003,17 +994,17 @@ func (s *Sim) rescale(now float64, d *deviceState, newDelta float64, parent span
 		spinUp, restarted := tuner.ShadowReconfig(oldDelta, newDelta)
 		rs := s.tracer.Add(span.Span{
 			Kind: span.KindRescale, Parent: parent, Start: now, End: now + spinUp,
-			Device: d.dev.ID, Service: svc.info.Name, Task: taskSig(d),
+			Device: d.id, Service: svc.info.Name, Task: taskSig(d),
 			Batch: svc.batch, Delta: newDelta - oldDelta, Value: newDelta,
 		})
 		if restarted {
 			s.tracer.Add(span.Span{
 				Kind: span.KindShadowSpinup, Parent: rs, Start: now, End: now + spinUp,
-				Device: d.dev.ID, Service: svc.info.Name,
+				Device: d.id, Service: svc.info.Name,
 			})
 			s.tracer.Add(span.Span{
 				Kind: span.KindShadowSwap, Parent: rs, Start: now + spinUp, End: now + spinUp,
-				Device: d.dev.ID, Service: svc.info.Name, Value: newDelta,
+				Device: d.id, Service: svc.info.Name, Value: newDelta,
 			})
 		}
 	}
@@ -1028,18 +1019,21 @@ func (s *Sim) rescale(now float64, d *deviceState, newDelta float64, parent span
 // so the rescale spans nest under it.
 func (s *Sim) apply(now float64, d *deviceState, dec core.Decision, parent span.ID) {
 	svc := d.svc
+	// Memory cap (§2.2.2: the batching size range depends on the GPU
+	// memory limit): shrink the decided batch until the service's
+	// pinned footprint fits the device — essential for MIG instances.
+	// An infeasible decision still carries the least-bad serving batch.
+	for dec.Batch > 16 && svc.info.MemoryMB(dec.Batch) > d.pool.CapacityMB()*0.95 {
+		dec.Batch /= 2
+	}
+	if dec.Batch > 0 && dec.Batch != svc.batch {
+		svc.batch = dec.Batch
+		// Batch updates are on-the-fly; only memory demand changes.
+		_ = d.pool.Resize(now, "svc", svc.info.MemoryMB(svc.batch))
+		s.obsBatchChanged(now, d, svc.batch)
+	}
 	if !dec.Feasible {
-		// Pause training; the service takes the device (§5.3.2). The
-		// Tuner may still recommend the least-bad batch for serving.
-		for dec.Batch > 16 && svc.info.MemoryMB(dec.Batch) > d.pool.CapacityMB()*0.95 {
-			dec.Batch /= 2
-		}
-		if dec.Batch > 0 && dec.Batch != svc.batch {
-			svc.batch = dec.Batch
-			_ = d.pool.Resize(now, "svc", svc.info.MemoryMB(svc.batch))
-			_ = d.dev.SetMemory("svc", svc.info.MemoryMB(svc.batch))
-			s.obsBatchChanged(now, d, svc.batch)
-		}
+		// Pause training; the service takes the device (§5.3.2).
 		for _, t := range d.training {
 			if !t.done && !t.paused {
 				t.paused = true
@@ -1050,21 +1044,7 @@ func (s *Sim) apply(now float64, d *deviceState, dec core.Decision, parent span.
 			s.rescale(now, d, 1, parent)
 		}
 		s.res.PausedEpisodes++
-		s.syncShares(now, d)
 		return
-	}
-	// Memory cap (§2.2.2: the batching size range depends on the GPU
-	// memory limit): shrink the decided batch until the service's
-	// pinned footprint fits the device — essential for MIG instances.
-	for dec.Batch > 16 && svc.info.MemoryMB(dec.Batch) > d.pool.CapacityMB()*0.95 {
-		dec.Batch /= 2
-	}
-	if dec.Batch > 0 && dec.Batch != svc.batch {
-		svc.batch = dec.Batch
-		// Batch updates are on-the-fly; only memory demand changes.
-		_ = d.pool.Resize(now, "svc", svc.info.MemoryMB(svc.batch))
-		_ = d.dev.SetMemory("svc", svc.info.MemoryMB(svc.batch))
-		s.obsBatchChanged(now, d, svc.batch)
 	}
 	// Cluster invariant (§7.4): while training is multiplexed, the
 	// inference service leaves it at least 10% of the device; a policy
@@ -1078,41 +1058,6 @@ func (s *Sim) apply(now float64, d *deviceState, dec core.Decision, parent span.
 	for _, t := range d.training {
 		if !t.done {
 			t.paused = false
-		}
-	}
-	s.syncShares(now, d)
-}
-
-// syncShares rebalances the gpu.Device share bookkeeping after a
-// decision: inference gets delta, active trainings split the rest,
-// paused trainings keep a token share.
-func (s *Sim) syncShares(now float64, d *deviceState) {
-	_ = now
-	// Shrink all training residents first so the pool frees up.
-	const token = 0.001
-	var reserved float64
-	share := d.trainShare()
-	for _, t := range d.training {
-		if t.done {
-			continue
-		}
-		if _, ok := d.dev.Resident(t.allocID); ok {
-			_ = d.dev.Resize(t.allocID, token)
-		}
-		if t.paused {
-			reserved += token
-		} else {
-			reserved += maxf(share, token)
-		}
-	}
-	svcShare := clampf(minf(d.svc.delta, 1-reserved), token, 1)
-	_ = d.dev.Resize("svc", svcShare)
-	for _, t := range d.training {
-		if t.done || t.paused {
-			continue
-		}
-		if share > token {
-			_ = d.dev.Resize(t.allocID, minf(share, d.dev.ShareFree()+token))
 		}
 	}
 }
@@ -1135,7 +1080,6 @@ func (s *Sim) complete(now float64, d *deviceState, t *taskState) {
 	}
 	s.queue.RecordUsage(t.task.Name, t.finishAt-t.startAt)
 	_ = d.pool.Free(now, t.allocID)
-	_ = d.dev.Remove(t.allocID)
 	// Drop from the device's active list.
 	keep := d.training[:0]
 	for _, other := range d.training {
@@ -1197,11 +1141,10 @@ func (s *Sim) evictTask(now float64, d *deviceState, t *taskState, cause string,
 		if qj.excluded == nil {
 			qj.excluded = make(map[string]bool)
 		}
-		qj.excluded[d.dev.ID] = true
+		qj.excluded[d.id] = true
 	}
 	qj.progress = t.itersDone
 	_ = d.pool.Free(now, t.allocID)
-	_ = d.dev.Remove(t.allocID)
 	keep := d.training[:0]
 	for _, other := range d.training {
 		if other != t {
@@ -1222,7 +1165,7 @@ func (s *Sim) evictTask(now float64, d *deviceState, t *taskState, cause string,
 	if s.obsv != nil {
 		s.obsv.migrations.Inc()
 		s.obsv.sink.Emit(obs.Event{
-			Time: now, Type: obs.EventTaskMigrated, Device: d.dev.ID,
+			Time: now, Type: obs.EventTaskMigrated, Device: d.id,
 			Service: d.svc.info.Name, Task: t.task.Name, Value: float64(t.id),
 			Cause: cause,
 		})
@@ -1231,7 +1174,7 @@ func (s *Sim) evictTask(now float64, d *deviceState, t *taskState, cause string,
 		// The migrate span stays open until place lands the job on its
 		// next device; its duration is the task's off-device time.
 		qj.migrateSpan = s.tracer.Start(span.Span{
-			Kind: span.KindMigrate, Start: now, Device: d.dev.ID,
+			Kind: span.KindMigrate, Start: now, Device: d.id,
 			Service: d.svc.info.Name, Task: t.task.Name,
 			Value: float64(t.id), Cause: cause,
 		})
@@ -1257,14 +1200,14 @@ func (s *Sim) failDevice(now float64, d *deviceState) {
 		// horizon if the device never heals) — it is what the attributor
 		// matches violations against for device_fault classification.
 		d.outageSpan = s.tracer.Start(span.Span{
-			Kind: span.KindOutage, Start: now, Device: d.dev.ID,
+			Kind: span.KindOutage, Start: now, Device: d.id,
 			Service: d.svc.info.Name, Task: taskSig(d), Cause: "device-failed",
 		})
 	}
 	if s.obsv != nil {
 		s.obsv.faults.devFailed.Inc()
 		s.obsv.sink.Emit(obs.Event{
-			Time: now, Type: obs.EventDeviceFailed, Device: d.dev.ID,
+			Time: now, Type: obs.EventDeviceFailed, Device: d.id,
 			Service: d.svc.info.Name,
 		})
 	}
@@ -1278,12 +1221,11 @@ func (s *Sim) failDevice(now float64, d *deviceState) {
 	if s.obsv != nil {
 		s.obsv.faults.failovers.Inc()
 		s.obsv.sink.Emit(obs.Event{
-			Time: now, Type: obs.EventFailover, Device: d.dev.ID,
+			Time: now, Type: obs.EventFailover, Device: d.id,
 			Service: d.svc.info.Name, Cause: "device-failed",
 		})
 	}
 	_ = d.pool.Free(now, "svc")
-	_ = d.dev.Remove("svc")
 	// The requeued tasks look for a home among the surviving devices.
 	s.trySchedule(now)
 }
@@ -1304,7 +1246,7 @@ func (s *Sim) recoverDevice(now float64, d *deviceState) {
 	if s.obsv != nil {
 		s.obsv.faults.devRecovered.Inc()
 		s.obsv.sink.Emit(obs.Event{
-			Time: now, Type: obs.EventDeviceRecovered, Device: d.dev.ID,
+			Time: now, Type: obs.EventDeviceRecovered, Device: d.id,
 			Service: d.svc.info.Name,
 		})
 	}
@@ -1315,7 +1257,6 @@ func (s *Sim) recoverDevice(now float64, d *deviceState) {
 	_ = s.configure(now, d, true, "recovery")
 	mb := svc.info.MemoryMB(svc.batch)
 	_ = d.pool.Alloc(now, "svc", memmgr.PriorityInference, mb)
-	_ = d.dev.Place(gpu.Resident{ID: "svc", Kind: gpu.KindInference, Share: svc.delta, MemoryMB: mb})
 	svc.deployed = true
 	// Evicted (and head-of-line blocked) tasks may now fit again.
 	s.trySchedule(now)
@@ -1328,7 +1269,7 @@ func (s *Sim) recoverDevice(now float64, d *deviceState) {
 // retries surfaces faults.ErrMeasurement, on which the tuner falls
 // back to predictor-only curves for the episode.
 func (s *Sim) measureFault(d *deviceState) error {
-	if !s.inj.MeasureFails(d.dev.ID) {
+	if !s.inj.MeasureFails(d.id) {
 		return nil
 	}
 	now := s.sh.Now()
@@ -1338,16 +1279,16 @@ func (s *Sim) measureFault(d *deviceState) error {
 		if s.obsv != nil {
 			s.obsv.faults.measRetries.Inc()
 			s.obsv.sink.Emit(obs.Event{
-				Time: now, Type: obs.EventMeasureRetry, Device: d.dev.ID,
+				Time: now, Type: obs.EventMeasureRetry, Device: d.id,
 				Service: d.svc.info.Name, Value: float64(attempt),
 				Cause: fmt.Sprintf("backoff=%gms", s.inj.BackoffMs(attempt)),
 			})
 		}
-		if !s.inj.MeasureFails(d.dev.ID) {
+		if !s.inj.MeasureFails(d.id) {
 			return nil
 		}
 	}
-	return fmt.Errorf("cluster: measuring on %s after %d retries: %w", d.dev.ID, retries, faults.ErrMeasurement)
+	return fmt.Errorf("cluster: measuring on %s after %d retries: %w", d.id, retries, faults.ErrMeasurement)
 }
 
 // finalize converts accumulators into rates.
@@ -1465,23 +1406,6 @@ func absf(x float64) float64 {
 
 func minf(a, b float64) float64 {
 	if a < b {
-		return a
-	}
-	return b
-}
-
-func clampf(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
 		return a
 	}
 	return b

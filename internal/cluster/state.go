@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"mudi/internal/core"
-	"mudi/internal/gpu"
 	"mudi/internal/memmgr"
 	"mudi/internal/model"
 	"mudi/internal/obs"
@@ -66,10 +65,10 @@ type taskState struct {
 	allocID   string
 }
 
-// deviceState couples the GPU bookkeeping, the memory pool, and the
-// residents.
+// deviceState couples the device's inference service (batch and GPU
+// share Δ), its memory pool, and its training residents.
 type deviceState struct {
-	dev           *gpu.Device
+	id            string
 	pool          *memmgr.Pool
 	svc           *serviceState
 	training      []*taskState
@@ -208,10 +207,9 @@ func (d *deviceState) activeScratch() []model.TrainingTask {
 }
 
 // view builds the policy-facing snapshot. FreeShare is the share not
-// claimed by the inference service — the room training can (re)divide —
-// not the gpu.Device residual, because adding a task to a Mudi-more
-// device redistributes the training shares rather than consuming new
-// ones.
+// claimed by the inference service — the room training can (re)divide:
+// adding a task to a Mudi-more device redistributes the training
+// shares rather than consuming new ones.
 func (d *deviceState) view() core.DeviceView {
 	free := 1 - d.svc.delta
 	if free < 0 {
@@ -226,7 +224,7 @@ func (d *deviceState) view() core.DeviceView {
 	}
 	return core.DeviceView{
 		Paused:        paused,
-		ID:            d.dev.ID,
+		ID:            d.id,
 		ServiceName:   d.svc.info.Name,
 		SLOms:         d.svc.info.SLOms,
 		QPS:           d.svc.curQPS,
@@ -249,7 +247,7 @@ func (d *deviceState) schedInfo() sched.DeviceInfo {
 		free = 0
 	}
 	return sched.DeviceInfo{
-		ID:            d.dev.ID,
+		ID:            d.id,
 		FreeShare:     free,
 		TrainingCount: d.residentCount(),
 		ServiceName:   d.svc.info.Name,
@@ -285,7 +283,7 @@ func (m *deviceMeasurer) TrainIterMs(batch int, delta float64) (float64, error) 
 	}
 	tasks := m.dev.residentScratch()
 	if len(tasks) == 0 {
-		return 0, fmt.Errorf("cluster: no training on %s", m.dev.dev.ID)
+		return 0, fmt.Errorf("cluster: no training on %s", m.dev.id)
 	}
 	share := (1 - delta) / float64(len(tasks))
 	if share <= 0 {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"mudi/internal/gpu"
 	"mudi/internal/memmgr"
 
 	"mudi/internal/core"
@@ -33,7 +32,7 @@ func MaxThroughput(policy core.Policy, oracle *perf.Oracle, svcName, taskName st
 
 	sustains := func(qps float64) bool {
 		d := &deviceState{
-			dev:  gpu.NewDevice("tp0", "tpnode", 0),
+			id:   "tp0",
 			svc:  &serviceState{info: svc, curQPS: qps, batch: 64, delta: 0.5},
 			pool: memmgr.NewPool(0),
 		}

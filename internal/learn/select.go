@@ -224,13 +224,8 @@ func (inc *Incremental) AddGrouped(x []float64, y float64, group string) (refitt
 	return false, nil
 }
 
-// AddNoRefit appends a sample without refitting — batch-ingest path;
-// call Refit once afterwards.
-func (inc *Incremental) AddNoRefit(x []float64, y float64) {
-	inc.AddNoRefitGrouped(x, y, "")
-}
-
-// AddNoRefitGrouped is AddNoRefit with a group label.
+// AddNoRefitGrouped appends a sample with a group label without
+// refitting — batch-ingest path; call Refit once afterwards.
 func (inc *Incremental) AddNoRefitGrouped(x []float64, y float64, group string) {
 	inc.x = append(inc.x, append([]float64(nil), x...))
 	inc.y = append(inc.y, y)

@@ -14,10 +14,16 @@ import (
 	"fmt"
 	"sort"
 
-	"mudi/internal/gpu"
 	"mudi/internal/obs"
 	"mudi/internal/span"
 )
+
+// A100MemoryMB is the device memory of the paper's testbed GPUs (40 GB).
+const A100MemoryMB = 40960
+
+// PCIeBandwidthMBps is the host-device transfer bandwidth used to cost
+// memory swaps (16 GB/s effective, PCIe 4.0 x16).
+const PCIeBandwidthMBps = 16384
 
 // Priority orders evictions: inference allocations are pinned on the
 // device (§5.6 — "Mudi prioritizes inference memory pointer address on
@@ -138,7 +144,7 @@ var (
 // NewPool returns a pool with the given capacity (A100 memory if ≤ 0).
 func NewPool(capacityMB float64) *Pool {
 	if capacityMB <= 0 {
-		capacityMB = gpu.A100MemoryMB
+		capacityMB = A100MemoryMB
 	}
 	return &Pool{capacityMB: capacityMB, allocs: make(map[string]*allocation)}
 }
@@ -421,7 +427,7 @@ func (p *Pool) SwapFraction(now float64) float64 {
 
 // transferTimeMs costs a movement at PCIe bandwidth.
 func transferTimeMs(mb float64) float64 {
-	return mb / gpu.PCIeBandwidthMBps * 1000
+	return mb / PCIeBandwidthMBps * 1000
 }
 
 // TransferTimeMs exposes the PCIe cost model for reports (Fig. 16's

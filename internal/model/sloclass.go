@@ -58,8 +58,8 @@ func (c SLOClass) String() string {
 // Valid reports whether c is a defined class (ClassUnset included).
 func (c SLOClass) Valid() bool { return c < numSLOClasses }
 
-// Rank is the criticality order used for placement steering and batch
-// formation: higher ranks are protected first. ClassUnset ranks zero —
+// Rank is the criticality order used for placement steering and cohort
+// queue priority: higher ranks are protected first. ClassUnset ranks zero —
 // it never competes, because a classless run consults no ranks.
 func (c SLOClass) Rank() int {
 	switch c {
